@@ -142,7 +142,7 @@ let write_audit path =
                     0.0 n.P.inputs
                 in
                 let key =
-                  let l = n.P.label in
+                  let l = P.label n in
                   let prefix = "merge " in
                   let np = String.length prefix in
                   if

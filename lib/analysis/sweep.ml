@@ -58,7 +58,7 @@ let merge_records () =
                       out :=
                         {
                           Checkdef.merge_source = source;
-                          merge_label = m.Obs.Provenance.label;
+                          merge_label = Obs.Provenance.label m;
                           merge_kappa = k;
                         }
                         :: !out

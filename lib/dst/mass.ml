@@ -202,7 +202,9 @@ module Make (N : Num.S) : S with type num = N.t = struct
   (* Canonical digest: frame name, then the ordered focal assignment
      with hex-float masses ([%h] is lossless for the float instance).
      Bit-identical values digest equally, which is what gives every
-     distinct evidence value a single provenance identity. *)
+     distinct evidence value a single provenance identity. Each focal
+     set renders as [Format.asprintf "%a" Vset.pp_compact] would, so
+     the pre-image (and every digest already printed) is unchanged. *)
   let digest m =
     let buf = Buffer.create 64 in
     Buffer.add_string buf (Domain.name m.frame);
@@ -211,11 +213,16 @@ module Make (N : Num.S) : S with type num = N.t = struct
     Vmap.iter
       (fun set x ->
         Buffer.add_char buf '|';
-        Buffer.add_string buf (Format.asprintf "%a" Vset.pp_compact set);
+        Buffer.add_string buf (Vset.to_string_compact set);
         Buffer.add_char buf '^';
-        Buffer.add_string buf (Printf.sprintf "%h" (N.to_float x)))
+        Printf.bprintf buf "%h" (N.to_float x))
       m.focals;
     Digest.to_hex (Digest.string (Buffer.contents buf))
+
+  (* Node labels render only when a reader (.why, an export, the audit)
+     asks: mass functions are immutable, so the thunk sees the value the
+     node was recorded for. *)
+  let label m = lazy (to_string m)
 
   (* Provenance hook shared by direct combination and the cache's miss
      path: operands resolve to their registered derivations (or fresh
@@ -228,7 +235,7 @@ module Make (N : Num.S) : S with type num = N.t = struct
   let record_combine ?(rule = "dempster") ?(prov = [])
       ?(norm = fun k -> 1.0 -. k) m1 m2 result =
     let operand m =
-      Obs.Provenance.find_or_leaf (digest m) ~label:(to_string m)
+      Obs.Provenance.find_or_leaf (digest m) ~label:(label m)
     in
     let i1 = operand m1 in
     let i2 = operand m2 in
@@ -236,7 +243,7 @@ module Make (N : Num.S) : S with type num = N.t = struct
     | Some (res, kappa) ->
         let k = N.to_float kappa in
         let id =
-          Obs.Provenance.add Obs.Provenance.Combine (to_string res) ~kappa:k
+          Obs.Provenance.add Obs.Provenance.Combine (label res) ~kappa:k
             ~norm:(norm k)
             ~args:(("rule", rule) :: prov)
             ~inputs:[ i1; i2 ]
@@ -244,7 +251,7 @@ module Make (N : Num.S) : S with type num = N.t = struct
         Obs.Provenance.register (digest res) id
     | None ->
         ignore
-          (Obs.Provenance.add Obs.Provenance.Combine "(total conflict)"
+          (Obs.Provenance.add Obs.Provenance.Combine (lazy "(total conflict)")
              ~kappa:1.0 ~norm:0.0
              ~args:(("rule", rule) :: prov)
              ~inputs:[ i1; i2 ])
@@ -388,10 +395,10 @@ module Make (N : Num.S) : S with type num = N.t = struct
       let result = make m.frame scaled in
       if Obs.Provenance.on () && alpha < 1.0 then begin
         let src =
-          Obs.Provenance.find_or_leaf (digest m) ~label:(to_string m)
+          Obs.Provenance.find_or_leaf (digest m) ~label:(label m)
         in
         let id =
-          Obs.Provenance.add Obs.Provenance.Discount (to_string result)
+          Obs.Provenance.add Obs.Provenance.Discount (label result)
             ~alpha ~inputs:[ src ]
         in
         Obs.Provenance.register (digest result) id
@@ -454,12 +461,12 @@ module Make (N : Num.S) : S with type num = N.t = struct
 
   let record_quarantine ~primary ~(e : Rule.escalation) ~kappa m1 m2 =
     let operand m =
-      Obs.Provenance.find_or_leaf (digest m) ~label:(to_string m)
+      Obs.Provenance.find_or_leaf (digest m) ~label:(label m)
     in
     let i1 = operand m1 in
     let i2 = operand m2 in
     ignore
-      (Obs.Provenance.add Obs.Provenance.Combine "(quarantined)"
+      (Obs.Provenance.add Obs.Provenance.Combine (lazy "(quarantined)")
          ~kappa:(N.to_float kappa) ~norm:0.0
          ~args:
            (("rule", Rule.to_string primary)

@@ -273,7 +273,13 @@ module type S = sig
       every distinct evidence value one lineage identity. Exact for
       the float instance; instances whose [num] loses precision under
       [to_float] may alias distinct values (the rational instance is
-      test-only and runs with provenance off). *)
+      test-only and runs with provenance off).
+
+      Each focal set appears in the pre-image exactly as
+      [Format.asprintf "%a" Vset.pp_compact] prints it, line breaks of
+      sets past the formatter margin included, so digests are stable
+      across releases. It is built without a formatter
+      ({!Vset.to_string_compact}). *)
 end
 
 module Make (N : Num.S) : S with type num = N.t

@@ -53,19 +53,18 @@ let is_bare_string s =
   && String.for_all ident_char s
   && s <> "true" && s <> "false"
 
-let pp ppf = function
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int n -> Format.pp_print_int ppf n
+(* The one renderer: [pp] prints this string, and the provenance digests
+   and lineage keys call it directly, without a formatter. *)
+let to_string = function
+  | Bool b -> string_of_bool b
+  | Int n -> string_of_int n
   | Float f ->
       (* Keep a trailing ".": distinguishes Float 2. from Int 2 on reparse. *)
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Format.fprintf ppf "%.1f" f
-      else Format.fprintf ppf "%g" f
-  | String s ->
-      if is_bare_string s then Format.pp_print_string ppf s
-      else Format.fprintf ppf "%S" s
+      if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+      else Printf.sprintf "%g" f
+  | String s -> if is_bare_string s then s else Printf.sprintf "%S" s
 
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let of_literal raw =
   let s = String.trim raw in

@@ -41,6 +41,7 @@ val pp : Format.formatter -> t -> unit
     bare when they are simple identifiers and quoted otherwise. *)
 
 val to_string : t -> string
+(** The string {!pp} prints, built without a formatter. *)
 
 val of_literal : string -> t
 (** Parses a literal token: [true]/[false], integer, float, quoted string,

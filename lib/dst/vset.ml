@@ -40,3 +40,15 @@ let pp_compact ppf s =
   match to_list s with [ v ] -> Value.pp ppf v | _ -> pp ppf s
 
 let to_string s = Format.asprintf "%a" pp s
+
+(* The margin [Format.asprintf] lays out to. A rendering shorter than it
+   never reaches a break hint, so it is the plain one-line string. *)
+let margin = Format.pp_get_margin (Format.formatter_of_buffer (Buffer.create 0)) ()
+
+let to_string_compact s =
+  match to_list s with
+  | [ v ] -> Value.to_string v
+  | vs ->
+      let flat = "{" ^ String.concat ", " (List.map Value.to_string vs) ^ "}" in
+      if String.length flat < margin then flat
+      else Format.asprintf "%a" pp_compact s

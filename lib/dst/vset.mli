@@ -56,3 +56,9 @@ val pp_compact : Format.formatter -> t -> unit
     otherwise. *)
 
 val to_string : t -> string
+
+val to_string_compact : t -> string
+(** [Format.asprintf "%a" pp_compact s], byte for byte. Sets whose
+    one-line rendering fits the formatter margin are built without a
+    formatter; longer ones go through {!pp_compact}, whose line breaks
+    they keep. *)

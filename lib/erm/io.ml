@@ -40,7 +40,9 @@ let parse_attr_decl ?(col = 0) line body =
           String.split_on_char ',' inner
           |> List.map String.trim
           |> List.filter (fun v -> v <> "")
-          |> List.map Dst.Value.of_literal
+          |> List.map (fun v ->
+                 try Dst.Value.of_literal v
+                 with Invalid_argument m -> fail ~col:kcol line "%s" m)
         in
         if values = [] then fail ~col:kcol line "empty evidence domain"
         else Attr.evidential name (Dst.Domain.of_values name values)

@@ -12,10 +12,12 @@ let tm_label t =
   Printf.sprintf "tm(%s) = %s" (key_string t)
     (Dst.Support.to_string (Etuple.tm t))
 
-let tm_node t = P.find_or_leaf (tm_digest t) ~label:(tm_label t)
+(* Node labels are thunks over immutable tuples and values: only a
+   reader of the arena (.why, an export, the audit) renders them. *)
+let tm_node t = P.find_or_leaf (tm_digest t) ~label:(lazy (tm_label t))
 
 let evidence_node e =
-  P.find_or_leaf (Dst.Mass.F.digest e) ~label:(Dst.Mass.F.to_string e)
+  P.find_or_leaf (Dst.Mass.F.digest e) ~label:(lazy (Dst.Mass.F.to_string e))
 
 let register_relation ~name r =
   let nonkey = Schema.nonkey (Relation.schema r) in
@@ -30,16 +32,18 @@ let register_relation ~name r =
               if P.find d = None then
                 P.register d
                   (P.add P.Source
-                     (Printf.sprintf "%s(%s).%s = %s" name key
-                        (Attr.name attr) (Dst.Mass.F.to_string e)))
+                     (lazy
+                       (Printf.sprintf "%s(%s).%s = %s" name key
+                          (Attr.name attr) (Dst.Mass.F.to_string e))))
           | Etuple.Definite _ -> ())
         nonkey (Etuple.cells t);
       let d = tm_digest t in
       if P.find d = None then
         P.register d
           (P.add P.Source
-             (Printf.sprintf "%s(%s).tm = %s" name key
-                (Dst.Support.to_string (Etuple.tm t)))))
+             (lazy
+               (Printf.sprintf "%s(%s).tm = %s" name key
+                  (Dst.Support.to_string (Etuple.tm t))))))
     r ()
 
 let cell_nodes t =
@@ -59,7 +63,7 @@ let record_merge x y merged =
         let ix = tm_node x in
         let iy = tm_node y in
         let id =
-          P.add P.Combine (tm_label merged) ~kappa:km ~norm:(1.0 -. km)
+          P.add P.Combine (lazy (tm_label merged)) ~kappa:km ~norm:(1.0 -. km)
             ~args:[ ("rule", "support") ]
             ~inputs:[ ix; iy ]
         in
@@ -68,7 +72,7 @@ let record_merge x y merged =
   in
   ignore
     (P.add P.Merge
-       ("merge " ^ key_string merged)
+       (lazy ("merge " ^ key_string merged))
        ~inputs:(ev_inputs @ [ tm_id ]))
 
 let record_support ~label ~support ~inputs out =
@@ -78,7 +82,7 @@ let record_support ~label ~support ~inputs out =
     in
     let id =
       P.add P.Support
-        (Printf.sprintf "%s %s" label (tm_label out))
+        (lazy (Printf.sprintf "%s %s" label (tm_label out)))
         ~args:
           [ ("sn", Printf.sprintf "%.6g" (Dst.Support.sn support));
             ("sp", Printf.sprintf "%.6g" (Dst.Support.sp support)) ]
@@ -98,7 +102,7 @@ let record_discount ~alpha original discounted =
             && P.find (tm_digest t) = None
           then begin
             let src = tm_node orig in
-            let id = P.add P.Discount (tm_label t) ~alpha ~inputs:[ src ] in
+            let id = P.add P.Discount (lazy (tm_label t)) ~alpha ~inputs:[ src ] in
             P.register (tm_digest t) id
           end)
     discounted ()

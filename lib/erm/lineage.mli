@@ -9,7 +9,9 @@
     Everything here assumes the caller already checked
     [Obs.Provenance.on ()]; none of these functions are compiled into
     a hot path unguarded. Identity is value-level: bit-identical
-    values (same digest) share one node, first derivation wins. *)
+    values (same digest) share one node, first derivation wins. Node
+    labels are recorded as thunks and rendered only when a reader of
+    the arena asks for them. *)
 
 val key_string : Etuple.t -> string
 (** Comma-joined key values — the string [.why] accepts. *)

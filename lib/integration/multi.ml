@@ -116,7 +116,7 @@ let integrate_inner ?policy ?discount ?alpha_floor ?prior sources =
           let upto = Obs.Provenance.count () in
           ignore
             (Obs.Provenance.add Obs.Provenance.Step
-               ("absorb " ^ s.source_name)
+               (lazy ("absorb " ^ s.source_name))
                ~args:
                  [ ("source", s.source_name);
                    ("from", string_of_int mark);
@@ -200,7 +200,7 @@ let absorb_delta ?policy ~into s =
     let upto = Obs.Provenance.count () in
     ignore
       (Obs.Provenance.add Obs.Provenance.Step
-         ("absorb " ^ s.source_name)
+         (lazy ("absorb " ^ s.source_name))
          ~args:
            [ ("source", s.source_name);
              ("from", string_of_int mark);

@@ -243,7 +243,7 @@ let provenance_json ?store () =
         (Printf.sprintf "{\"id\":%d,\"kind\":%s,\"label\":%s%s%s%s%s,\"inputs\":[%s]}"
            n.id
            (json_escape (Provenance.kind_name n.kind))
-           (json_escape n.label) (opt_field "kappa" n.kappa)
+           (json_escape (Provenance.label n)) (opt_field "kappa" n.kappa)
            (opt_field "norm" n.norm) (opt_field "alpha" n.alpha) args
            (String.concat ","
               (Array.to_list (Array.map string_of_int n.inputs)))))
@@ -301,7 +301,7 @@ let provenance_dot ?store () =
         (Printf.sprintf "  n%d [shape=%s label=\"%s %s%s\"];\n" n.id
            (dot_shape n.kind)
            (Provenance.kind_name n.kind)
-           (dot_escape n.label) deco))
+           (dot_escape (Provenance.label n)) deco))
     nodes;
   List.iter
     (fun (n : Provenance.node) ->

@@ -3,7 +3,7 @@ type kind = Source | Operand | Combine | Discount | Support | Merge | Step
 type node = {
   id : int;
   kind : kind;
-  label : string;
+  label : string Lazy.t;
   kappa : float option;
   norm : float option;
   alpha : float option;
@@ -21,7 +21,7 @@ type t = {
 let dummy =
   { id = -1;
     kind = Operand;
-    label = "";
+    label = lazy "";
     kappa = None;
     norm = None;
     alpha = None;
@@ -34,11 +34,24 @@ let create () =
 let default =
   { arr = Array.make 64 dummy; len = 0; index = Hashtbl.create 64; live = false }
 
+(* Bumped whenever the default arena may lose bindings or miss
+   derivations: a reset empties it, and a disabled stretch records
+   nothing. Callers that skip re-registering values they registered
+   before compare against it. *)
+let gen = Atomic.make 0
+let generation () = Atomic.get gen
 let on () = default.live
-let enable () = default.live <- true
-let disable () = default.live <- false
+
+let enable () =
+  default.live <- true;
+  Atomic.incr gen
+
+let disable () =
+  default.live <- false;
+  Atomic.incr gen
 
 let reset ?(store = default) () =
+  Atomic.incr gen;
   store.arr <- Array.make 64 dummy;
   store.len <- 0;
   Hashtbl.reset store.index
@@ -85,6 +98,7 @@ let register ?(store = default) digest id =
     Hashtbl.add store.index digest id
 
 let find ?(store = default) digest = Hashtbl.find_opt store.index digest
+let label (n : node) = Lazy.force n.label
 
 let find_or_leaf ?(store = default) ?(kind = Operand) digest ~label =
   if not store.live then -1

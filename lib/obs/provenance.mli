@@ -20,7 +20,16 @@
     derivation instead of re-deriving, and what makes the lineage of a
     physical plan meet the naive evaluator's on every shared value.
     Registration is first-wins: once a digest resolves to a node, later
-    derivations of the same value reuse it. *)
+    derivations of the same value reuse it.
+
+    Recording is kept cheap in two ways. Node labels are lazy: a hook
+    hands in a thunk over the (immutable) value it recorded, and only
+    readers — [Why], [Export], [federate --audit], [Analysis.Sweep] —
+    force it, through {!label}. Forcing is not domain-safe, which is
+    fine because provenance-on execution runs on one domain. And the
+    arena has a {!generation}: a caller that registered a value set
+    once may skip re-registering it for as long as the generation is
+    unchanged, because bindings are never dropped in between. *)
 
 type kind =
   | Source  (** a stored source tuple's cell or membership support *)
@@ -34,7 +43,9 @@ type kind =
 type node = {
   id : int;
   kind : kind;
-  label : string;  (** human-readable value or step description *)
+  label : string Lazy.t;
+      (** human-readable value or step description, rendered on first
+          {!label} *)
   kappa : float option;  (** conflict mass κ for combination nodes *)
   norm : float option;  (** normalization factor 1 − κ *)
   alpha : float option;  (** discount rate for {!Discount} nodes *)
@@ -61,6 +72,13 @@ val disable : unit -> unit
 val reset : ?store:t -> unit -> unit
 (** Drop every node and digest binding. *)
 
+val generation : unit -> int
+(** A counter bumped by {!reset}, {!enable} and {!disable}. Between two
+    bumps the default arena only grows and every digest binding stays,
+    so a value set registered at generation [g] is still fully bound
+    while [generation () = g]. The store uses it to register its stored
+    relation once per generation instead of on every delta. *)
+
 val count : ?store:t -> unit -> int
 (** Number of nodes allocated so far (also the next node id). *)
 
@@ -72,9 +90,10 @@ val add :
   ?args:(string * string) list ->
   ?inputs:int list ->
   kind ->
-  string ->
+  string Lazy.t ->
   int
-(** [add kind label] allocates a node and returns its id. Input ids
+(** [add kind label] allocates a node and returns its id. [label] is
+    not forced here. Input ids
     must already be allocated ([Invalid_argument] otherwise — that is
     a bug in the instrumentation, not a runtime condition). Returns
     [-1] without recording when the store is disabled; call sites are
@@ -94,9 +113,14 @@ val register : ?store:t -> string -> int -> unit
 val find : ?store:t -> string -> int option
 (** The node currently bound to a digest, if any. *)
 
-val find_or_leaf : ?store:t -> ?kind:kind -> string -> label:string -> int
+val label : node -> string
+(** The node's label, rendered (once) on first call. *)
+
+val find_or_leaf :
+  ?store:t -> ?kind:kind -> string -> label:string Lazy.t -> int
 (** Resolve a digest to its node, or allocate a leaf (default kind
-    {!Operand}) with the given label and bind the digest to it. This
+    {!Operand}) with the given label and bind the digest to it. The
+    label is forced only if a reader later asks for it. This
     is how combination hooks pick up operands whose history predates
     provenance being enabled. Returns [-1] when the store is
     disabled. *)

@@ -35,7 +35,7 @@ let pp ppf t =
     let n = t.root in
     Format.fprintf ppf "%s#%d %s %s%s%s@," indent n.Provenance.id
       (Provenance.kind_name n.Provenance.kind)
-      n.Provenance.label (decoration n)
+      (Provenance.label n) (decoration n)
       (if t.shared then " [shared, expanded above]" else "");
     List.iter (go (indent ^ "  ")) t.children
   in
@@ -48,7 +48,7 @@ let render ?store id = Format.asprintf "%a" pp (tree ?store id)
 let rec equal a b =
   let n1 = a.root and n2 = b.root in
   n1.Provenance.kind = n2.Provenance.kind
-  && String.equal n1.Provenance.label n2.Provenance.label
+  && String.equal (Provenance.label n1) (Provenance.label n2)
   && n1.Provenance.kappa = n2.Provenance.kappa
   && n1.Provenance.norm = n2.Provenance.norm
   && n1.Provenance.alpha = n2.Provenance.alpha

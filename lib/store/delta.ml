@@ -13,10 +13,19 @@ type outcome = {
    into the stored merge equals re-integrating every source from
    scratch with the delta appended (bit-exact; the conformance suite's
    sixth leg). The stored relation registers as a provenance source
-   under the store's name so .why resolves delta derivations to it. *)
+   under the store's name so .why resolves delta derivations to it.
+
+   It registers once per provenance generation, not once per delta:
+   after the absorb, every digest of the new stored relation is bound
+   already (merged cells by the combine hooks, merged supports by
+   [Lineage.record_merge], new keys by the delta's own registration in
+   [absorb_delta]), and bindings last until the generation moves. So a
+   walk here would add no node, and the arena is the one a walk on
+   every delta builds. *)
 let apply t ~name delta =
   let body () =
-    if Obs.Provenance.on () then
+    let lineage = Obs.Provenance.on () in
+    if lineage && Estore.lineage_mark t <> Obs.Provenance.generation () then
       Erm.Lineage.register_relation ~name:(Estore.name t) (Estore.relation t);
     let merged, conflicts, changes =
       M.absorb_delta ~into:(Estore.relation t)
@@ -40,6 +49,7 @@ let apply t ~name delta =
     in
     let deletes = List.length changes - upserts in
     if records <> [] then Estore.append_commit t records merged;
+    if lineage then Estore.set_lineage_mark t (Obs.Provenance.generation ());
     if Obs.Metrics.on () then begin
       Obs.Metrics.incr ~by:upserts "store.delta.upserts";
       Obs.Metrics.incr ~by:deletes "store.delta.deletes";

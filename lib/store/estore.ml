@@ -3,6 +3,9 @@ type t = {
   io : Io.t;
   mutable manifest : Manifest.t;
   mutable relation : Erm.Relation.t;
+  mutable lineage_mark : int;
+      (* The provenance generation at which every digest of [relation]
+         was last known bound; -1 when never. *)
 }
 
 (* Process-global store generation: bumped whenever any store commits,
@@ -76,18 +79,20 @@ let create ?(io = Io.real) ~dir ~name relation =
               ("segment", seg);
               ("records", string_of_int (List.length records)) ]
           Obs.Log.Store_commit "created store";
-      { dir; io; manifest; relation })
+      { dir; io; manifest; relation; lineage_mark = -1 })
 
 let open_store ?(io = Io.real) ?(verify = true) dir =
   in_span "store.open" (fun () ->
       let manifest, relation, report = Recovery.recover ~verify io dir in
-      ({ dir; io; manifest; relation }, report))
+      ({ dir; io; manifest; relation; lineage_mark = -1 }, report))
 
 let relation t = t.relation
 let version t = t.manifest.Manifest.version
 let name t = t.manifest.Manifest.name
 let dir t = t.dir
 let segments t = t.manifest.Manifest.segments
+let lineage_mark t = t.lineage_mark
+let set_lineage_mark t g = t.lineage_mark <- g
 
 (* Read-only re-scan of one committed segment, for batch auditors
    (Analysis.Sweep) that want the record history rather than the
@@ -149,6 +154,7 @@ let append_commit t records new_relation =
   Manifest.write t.io t.dir manifest;
   t.manifest <- manifest;
   t.relation <- new_relation;
+  t.lineage_mark <- -1;
   Atomic.incr generation_counter;
   if Obs.Metrics.on () then begin
     Obs.Metrics.incr "store.commit.count";

@@ -39,6 +39,15 @@ val segments : t -> (string * int) list
     [(file, bytes)] pairs — the read-only view batch auditors iterate.
     Never touches the disk; this is the manifest's own list. *)
 
+val lineage_mark : t -> int
+(** The [Obs.Provenance.generation] at which every value digest of
+    {!relation} was last known to be bound in the provenance arena, or
+    [-1] if never: a fresh handle from {!create} or {!open_store}, and
+    any handle after {!append_commit}. {!Delta.apply} reads it to skip
+    re-registering the stored relation, and sets it. *)
+
+val set_lineage_mark : t -> int -> unit
+
 val segment_records : t -> string -> Segment.record list
 (** Re-read one committed segment through the store's I/O seam and
     return its verified records. The segment was CRC-checked when the
@@ -53,6 +62,7 @@ val fold_segments :
 
 val append_commit : t -> Segment.record list -> Erm.Relation.t -> unit
 (** Commit one delta's write set as a new segment + manifest version
-    and install [new_relation] as the current relation. Exposed for
-    {!Delta}; not a general mutation API.
+    and install [new_relation] as the current relation. Clears
+    {!lineage_mark}. Exposed for {!Delta}; not a general mutation
+    API.
     @raise Recovery.Store_error / @raise Io.Fault as {!create}. *)

@@ -51,6 +51,14 @@ let check_erd_load name =
       Alcotest.failf "%s: load escaped through %s" name
         (Printexc.to_string e)
 
+(* The static checker rejects what the loader rejects: each fixture draws
+   at least one error-severity diagnostic from [eridb-lint]'s engine. *)
+let check_erd_lint name =
+  let path = Filename.concat corpus_dir name in
+  let diags = Analysis.Erd_lint.lint_string ~file:path (read_file path) in
+  if not (List.exists Analysis.Diagnostic.is_error diags) then
+    Alcotest.failf "%s: the loader rejects it but lint reports no error" name
+
 (* --- .query corpus ---------------------------------------------------- *)
 
 let check_query name =
@@ -77,4 +85,5 @@ let () =
   Alcotest.run "corpus"
     [ ("erd string channel", List.map (t check_erd) erds);
       ("erd load channel", List.map (t check_erd_load) erds);
+      ("erd lint channel", List.map (t check_erd_lint) erds);
       ("query channel", List.map (t check_query) queries) ]

@@ -10,7 +10,10 @@
    - the physical planner attaches the same evidence lineage as naive
      evaluation (value-digest keyed, so plan rewrites cannot hide);
    - the DOT and JSON exporters agree on node/edge counts and the DOT
-     text is structurally well-formed (checked without a dot binary).
+     text is structurally well-formed (checked without a dot binary);
+   - Mass.F.digest, Value.to_string and Vset.to_string_compact build
+     the same bytes as the Format-based renderers they replaced, which
+     this file keeps as the reference oracle.
 
    Seeds: qcheck honours QCHECK_SEED, which CI pins. *)
 
@@ -242,6 +245,156 @@ let plan_props =
         in
         Smap.equal W.equal naive physical) ]
 
+(* --- digest identity ---------------------------------------------------- *)
+
+(* The Format-based renderers the digest pre-image was first defined
+   with, kept verbatim as the oracle: printed digests (S007 prefixes,
+   .why lookups by digest) depend on every byte. *)
+module Oracle = struct
+  let is_bare_string s =
+    let ident_char c =
+      (c >= 'a' && c <= 'z')
+      || (c >= 'A' && c <= 'Z')
+      || (c >= '0' && c <= '9')
+      || c = '_' || c = '-' || c = '.' || c = '/' || c = '@'
+    in
+    s <> ""
+    && (let c = s.[0] in
+        (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_')
+    && String.for_all ident_char s
+    && s <> "true" && s <> "false"
+
+  let pp_value ppf = function
+    | Dst.Value.Bool b -> Format.pp_print_bool ppf b
+    | Dst.Value.Int n -> Format.pp_print_int ppf n
+    | Dst.Value.Float f ->
+        if Float.is_integer f && Float.abs f < 1e15 then
+          Format.fprintf ppf "%.1f" f
+        else Format.fprintf ppf "%g" f
+    | Dst.Value.String s ->
+        if is_bare_string s then Format.pp_print_string ppf s
+        else Format.fprintf ppf "%S" s
+
+  let pp_set ppf s =
+    Format.fprintf ppf "{@[%a@]}"
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
+         pp_value)
+      (Dst.Vset.to_list s)
+
+  let pp_compact ppf s =
+    match Dst.Vset.to_list s with [ v ] -> pp_value ppf v | _ -> pp_set ppf s
+
+  let preimage m =
+    let frame = M.frame m in
+    let buf = Buffer.create 64 in
+    Buffer.add_string buf (Dst.Domain.name frame);
+    Buffer.add_char buf '#';
+    Buffer.add_string buf
+      (string_of_int (Dst.Vset.cardinal (Dst.Domain.values frame)));
+    List.iter
+      (fun (set, x) ->
+        Buffer.add_char buf '|';
+        Buffer.add_string buf (Format.asprintf "%a" pp_compact set);
+        Buffer.add_char buf '^';
+        Buffer.add_string buf (Printf.sprintf "%h" x))
+      (M.focals m);
+    Buffer.contents buf
+
+  let digest m = Digest.to_hex (Digest.string (preimage m))
+end
+
+(* Values of every kind: long bare names (so sets render past the
+   formatter margin), strings that need %S quoting, integer-valued and
+   other floats, ints and bools. *)
+let value_gen =
+  let open QCheck.Gen in
+  let bare =
+    map2
+      (fun c rest -> String.make 1 c ^ rest)
+      (char_range 'a' 'z')
+      (string_size ~gen:(oneofl [ 'a'; 'q'; 'Z'; '_'; '-'; '.'; '/'; '@'; '7' ])
+         (0 -- 24))
+  in
+  let quoted =
+    oneof
+      [ string_size ~gen:char (0 -- 12);
+        string_size ~gen:printable (0 -- 12);
+        oneofl [ ""; "true"; "false"; "12"; "-x"; "a b"; "say \"hi\"" ] ]
+  in
+  let float =
+    oneof
+      [ map float_of_int small_signed_int;
+        float;
+        oneofl [ 0.5; -0.0; 1e15; -1e15; 2.5e20; 1e-7; Float.pi ] ]
+  in
+  frequency
+    [ (4, map Dst.Value.string bare);
+      (2, map Dst.Value.string quoted);
+      (2, map Dst.Value.float float);
+      (1, map Dst.Value.int int);
+      (1, map Dst.Value.bool bool) ]
+
+(* A frame of 1–12 such values and a mass function over it with up to 5
+   focal sets of any size, Ω included. *)
+let mass_gen =
+  let open QCheck.Gen in
+  let* name = oneofl [ "d"; "rating"; "a frame" ] in
+  let* values = list_size (1 -- 12) value_gen in
+  let frame = Dst.Domain.of_values name values in
+  let pool = Dst.Vset.to_list (Dst.Domain.values frame) in
+  let set_gen =
+    map
+      (fun keep ->
+        match List.filteri (fun i _ -> List.nth keep i) pool with
+        | [] -> Dst.Vset.singleton (List.hd pool)
+        | vs -> Dst.Vset.of_list vs)
+      (list_repeat (List.length pool) bool)
+  in
+  let+ focals =
+    list_size (1 -- 5) (pair set_gen (float_range 0.01 1.0))
+  in
+  M.make_normalized frame focals
+
+let mass_arb = QCheck.make ~print:Oracle.preimage mass_gen
+let value_arb = QCheck.make ~print:(Format.asprintf "%a" Oracle.pp_value) value_gen
+
+let digest_props =
+  [ prop "Mass.F.digest = the Format-based digest" ~count:1000 mass_arb
+      (fun m -> String.equal (M.digest m) (Oracle.digest m));
+    prop "Vset.to_string_compact = asprintf of the Format-based printer"
+      ~count:1000 mass_arb
+      (fun m ->
+        List.for_all
+          (fun (set, _) ->
+            let s = Dst.Vset.to_string_compact set in
+            String.equal s (Format.asprintf "%a" Oracle.pp_compact set)
+            && String.equal s (Format.asprintf "%a" Dst.Vset.pp_compact set))
+          (M.focals m));
+    prop "Value.to_string = asprintf of the Format-based printer" ~count:1000
+      value_arb
+      (fun v ->
+        let s = Dst.Value.to_string v in
+        String.equal s (Format.asprintf "%a" Oracle.pp_value v)
+        && String.equal s (Format.asprintf "%a" Dst.Value.pp v)) ]
+
+(* The formatter path is live: a set past the margin breaks its line
+   inside the pre-image, and the digest still agrees. *)
+let test_digest_past_margin () =
+  let values =
+    List.init 12 (fun i -> Dst.Value.string (Printf.sprintf "restaurant_%02d" i))
+  in
+  let frame = Dst.Domain.of_values "d" values in
+  let m =
+    M.make frame
+      [ (Dst.Vset.of_list (List.filteri (fun i _ -> i < 9) values), 0.75);
+        (Dst.Domain.values frame, 0.25) ]
+  in
+  Alcotest.(check bool)
+    "oracle pre-image holds a line break" true
+    (String.contains (Oracle.preimage m) '\n');
+  Alcotest.(check string) "digest" (Oracle.digest m) (M.digest m)
+
 (* --- exporter agreement ---------------------------------------------- *)
 
 let count_substr hay needle =
@@ -354,7 +507,9 @@ let unit_tests =
   [ Alcotest.test_case "DOT and JSON exporters agree on counts" `Quick
       test_export_counts;
     Alcotest.test_case "DOT output is structurally well-formed" `Quick
-      test_dot_structure ]
+      test_dot_structure;
+    Alcotest.test_case "a set past the formatter margin digests alike"
+      `Quick test_digest_past_margin ]
 
 let () =
   Alcotest.run "provenance"
@@ -363,4 +518,5 @@ let () =
       ("cache", cache_props);
       ("rule-cache", rule_cache_props);
       ("plans", plan_props);
+      ("digest", digest_props);
       ("export", unit_tests) ]

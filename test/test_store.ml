@@ -17,7 +17,14 @@
      (create + up to 3 deltas), then truncate, bit-flip or append
      garbage to any file of the store at any offset. Reopening must
      either recover some committed version exactly or raise
-     Store_error. QCHECK_SEED reproduces CI failures locally. *)
+     Store_error. QCHECK_SEED reproduces CI failures locally.
+
+   Provenance: Delta.apply registers the stored relation once per
+   arena generation. A qcheck property checks that the arena it builds
+   is byte-identical (JSON export) to one built by walking the stored
+   relation before every delta, under every rule and both escalation
+   fallbacks; unit cases check that a reset arena and a fresh handle
+   walk again. *)
 
 module R = Workload.Rng
 module G = Workload.Gen
@@ -502,6 +509,160 @@ let fuzz_props =
             in
             exact_rel_equal full o.Store.Delta.relation)) ]
 
+(* --- provenance registration ------------------------------------------ *)
+
+module P = Obs.Provenance
+
+let with_provenance f =
+  P.reset ();
+  P.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      P.disable ();
+      P.reset ())
+    f
+
+let policies_under_test =
+  List.map Dst.Rule.make
+    (Dst.Rule.all @ [ Dst.Rule.discount_then_combine 0.8 ])
+  @ List.map
+      (fun fallback ->
+        Dst.Rule.make
+          ~escalation:(Dst.Rule.escalate ~kappa0:0.3 fallback)
+          Dst.Rule.Dempster)
+      [ Dst.Rule.Fallback Dst.Rule.Yager; Dst.Rule.Quarantine ]
+
+(* One delta against the stored relation: fresh evidence for about half
+   of the stored keys (definite cells agree, so they merge unless the
+   evidence conflicts), plus some tuples whose definite cells disagree
+   (dropped) and some new keys. *)
+let random_delta rng stored =
+  let schema = Erm.Relation.schema stored in
+  let pick p r = Erm.Relation.filter (fun _ -> R.float rng 1.0 < p) r in
+  let fresh = G.relation (R.create (R.int rng 1_000_000)) ~size:14 schema in
+  let reobserved = pick 0.5 (G.reobserve (R.create (R.int rng 1_000_000)) stored) in
+  Erm.Relation.fold
+    (fun t acc ->
+      if Erm.Relation.mem reobserved (Erm.Etuple.key t) then acc
+      else Erm.Relation.replace acc t)
+    (pick 0.3 fresh) reobserved
+
+(* Every value digest of the stored relation resolves in the arena. *)
+let all_bound r =
+  Erm.Relation.for_all
+    (fun t ->
+      P.find (Erm.Lineage.tm_digest t) <> None
+      && List.for_all
+           (function
+             | Erm.Etuple.Evidence e -> P.find (Dst.Mass.F.digest e) <> None
+             | Erm.Etuple.Definite _ -> true)
+           (Erm.Etuple.cells t))
+    r
+
+(* Create a store and fold [deltas] random deltas into it with
+   provenance on; [walk_every_delta] re-registers the stored relation
+   before each one, as Delta.apply once did. Returns the JSON arena and
+   whether every stored digest was bound after each delta. *)
+let arena_after_deltas ~walk_every_delta ~policy ~deltas seed =
+  with_temp_dir (fun dir ->
+      Dst.Rule.with_policy policy (fun () ->
+          with_provenance (fun () ->
+              let t = Store.Estore.create ~dir ~name:"merged" (rel seed ~size:8) in
+              let rng = R.create (seed + 5) in
+              let bound = ref true in
+              for i = 1 to deltas do
+                if walk_every_delta then
+                  Erm.Lineage.register_relation ~name:(Store.Estore.name t)
+                    (Store.Estore.relation t);
+                let d = random_delta rng (Store.Estore.relation t) in
+                ignore (Store.Delta.apply t ~name:(Printf.sprintf "d%d" i) d);
+                bound := !bound && all_bound (Store.Estore.relation t)
+              done;
+              (Obs.Export.provenance_json (), !bound))))
+
+let registration_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:25
+         ~name:"one registration per generation builds the per-delta arena"
+         QCheck.(pair seed_arb (int_range 1 6))
+         (fun (seed, deltas) ->
+           List.for_all
+             (fun policy ->
+               let skipped, bound =
+                 arena_after_deltas ~walk_every_delta:false ~policy ~deltas seed
+               in
+               let walked, _ =
+                 arena_after_deltas ~walk_every_delta:true ~policy ~deltas seed
+               in
+               bound && String.equal skipped walked)
+             policies_under_test)) ]
+
+(* A stored cell no delta touched: .why must find its Source node, named
+   after the store. *)
+let check_untouched_cell_is_source what t ~touched =
+  let untouched =
+    List.find
+      (fun u -> not (Erm.Relation.mem touched (Erm.Etuple.key u)))
+      (Erm.Relation.tuples (Store.Estore.relation t))
+  in
+  let e =
+    List.find_map
+      (function Erm.Etuple.Evidence e -> Some e | Erm.Etuple.Definite _ -> None)
+      (Erm.Etuple.cells untouched)
+    |> Option.get
+  in
+  match P.find (Dst.Mass.F.digest e) with
+  | None -> Alcotest.failf "%s: untouched stored cell has no lineage" what
+  | Some id ->
+      let n = P.node id in
+      Alcotest.(check string) (what ^ ": kind") "source" (P.kind_name n.P.kind);
+      let prefix =
+        Printf.sprintf "%s(%s)." (Store.Estore.name t)
+          (Erm.Lineage.key_string untouched)
+      in
+      let label = P.label n in
+      Alcotest.(check string)
+        (what ^ ": label names the store") prefix
+        (String.sub label 0 (min (String.length label) (String.length prefix)))
+
+(* A delta over the first two stored keys only. *)
+let narrow_delta seed stored =
+  let keep = [ "key0"; "key1" ] in
+  G.reobserve (R.create seed)
+    (Erm.Relation.filter
+       (fun t ->
+         match Erm.Etuple.key t with
+         | [ Dst.Value.String k ] -> List.mem k keep
+         | _ -> false)
+       stored)
+
+let test_reset_reregisters () =
+  with_temp_dir (fun dir ->
+      with_provenance (fun () ->
+          let t = Store.Estore.create ~dir ~name:"merged" (rel 41 ~size:6) in
+          ignore
+            (Store.Delta.apply t ~name:"d1" (narrow_delta 42 (Store.Estore.relation t)));
+          P.reset ();
+          let d2 = narrow_delta 43 (Store.Estore.relation t) in
+          ignore (Store.Delta.apply t ~name:"d2" d2);
+          check_untouched_cell_is_source "after reset" t ~touched:d2))
+
+let test_fresh_handle_registers () =
+  with_temp_dir (fun dir_a ->
+      with_temp_dir (fun dir_b ->
+          with_provenance (fun () ->
+              let a = Store.Estore.create ~dir:dir_a ~name:"first" (rel 51 ~size:6) in
+              ignore
+                (Store.Estore.create ~dir:dir_b ~name:"second" (rel 52 ~size:6));
+              ignore
+                (Store.Delta.apply a ~name:"d1"
+                   (narrow_delta 53 (Store.Estore.relation a)));
+              (* Same arena generation: only the handle is new. *)
+              let b, _ = Store.Estore.open_store dir_b in
+              let d = narrow_delta 54 (Store.Estore.relation b) in
+              ignore (Store.Delta.apply b ~name:"d2" d);
+              check_untouched_cell_is_source "fresh handle" b ~touched:d)))
+
 let () =
   Random.self_init ();
   Alcotest.run "store"
@@ -539,4 +700,10 @@ let () =
            test_open_missing_store;
          Alcotest.test_case "create over an existing store" `Quick
            test_create_over_existing_store ]);
-      ("fuzz", fuzz_props) ]
+      ("fuzz", fuzz_props);
+      ("provenance",
+       Alcotest.test_case "a reset arena re-registers the store" `Quick
+         test_reset_reregisters
+       :: Alcotest.test_case "a fresh handle registers its store" `Quick
+            test_fresh_handle_registers
+       :: registration_props) ]
