@@ -494,7 +494,7 @@ let federation_fault_sweep () =
 
 (* ------------------------------------------------------------------ *)
 (* Join scaling: indexed vs nested loop, sizes 10^2 .. 10^6, plus the  *)
-(* sharded engine's worker curve and the flat-vs-map kernel curve      *)
+(* sharded engine's worker curve                                      *)
 
 (* Bechamel's quota-driven repetition would take hours on the 10^8-pair
    nested loop, so this sweep uses a plain wall-clock timer: repeat
@@ -513,58 +513,6 @@ let wall_time f =
   go 1
 
 let join_domain_counts = [ 1; 2; 4 ]
-
-(* Flat vs map Dempster kernel: n combinations cycling through 64
-   pre-built operand pairs (distinct pairs, so the per-pair memo cache
-   cannot shortcut the arithmetic). Per-operation cost is flat in n;
-   the sweep shows both regimes from cold (n = 10^2) to steady-state
-   (n = 10^6), where the flat kernel's advantage is pure arithmetic. *)
-let combine_flat_vs_map () =
-  let dom = Workload.Gen.domain ~size:10 "flatbench" in
-  let frng = Workload.Rng.create 777 in
-  let pairs =
-    Array.init 64 (fun _ ->
-        ( Workload.Gen.evidence frng ~focals:6 ~max_focal_size:3 dom,
-          Workload.Gen.evidence frng ~focals:6 ~max_focal_size:3 dom ))
-  in
-  let it = Dst.Interner.create dom in
-  let flat_pairs =
-    Array.map
-      (fun (a, b) -> (Dst.Flat_mass.of_mass it a, Dst.Flat_mass.of_mass it b))
-      pairs
-  in
-  let per_op n f =
-    let batch () =
-      let t0 = Unix.gettimeofday () in
-      for i = 0 to n - 1 do
-        f (i land 63)
-      done;
-      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-    in
-    ignore (batch ());
-    List.fold_left
-      (fun acc _ -> Float.min acc (batch ()))
-      Float.max_float [ 1; 2; 3 ]
-  in
-  print_endline "combine-scaling (flat packed kernel vs map kernel):";
-  List.map
-    (fun n ->
-      let map_ns =
-        per_op n (fun i ->
-            let a, b = pairs.(i) in
-            ignore (Dst.Mass.F.combine_opt a b))
-      in
-      let flat_ns =
-        per_op n (fun i ->
-            let a, b = flat_pairs.(i) in
-            ignore (Dst.Flat_mass.combine_opt a b))
-      in
-      let speedup = map_ns /. flat_ns in
-      Printf.printf
-        "  n=%-8d map %8.1f ns/op  flat %8.1f ns/op  speedup %5.2fx\n%!" n
-        map_ns flat_ns speedup;
-      (n, map_ns, flat_ns, speedup))
-    [ 100; 1_000; 10_000; 100_000; 1_000_000 ]
 
 let join_scaling () =
   let key_eq =
@@ -604,7 +552,7 @@ let join_scaling () =
         in
         (* The same equi-join through the sharded engine (4 shards,
            growing worker counts) — metrics/tracing are off here, so
-           this measures the parallel flat-kernel configuration. *)
+           this measures the parallel configuration. *)
         let env = [ ("ja", a); ("jb", b) ] in
         let sharded_ns =
           List.map
@@ -631,7 +579,6 @@ let join_scaling () =
         (size, nested_ns, indexed_ns, speedup, sharded_ns))
       [ 100; 1_000; 10_000; 100_000; 1_000_000 ]
   in
-  let kernel_rows = combine_flat_vs_map () in
   (* Per-operator spans for a representative physical-plan execution of
      the same equi-join at n = 1000 (hash join + two scans). *)
   let spans =
@@ -662,9 +609,6 @@ let join_scaling () =
     \  \"join_scaling\": [\n\
      %s\n\
     \  ],\n\
-    \  \"combine_flat_vs_map\": [\n\
-     %s\n\
-    \  ],\n\
     \  \"spans\": [\n\
      %s\n\
     \  ]\n\
@@ -683,28 +627,62 @@ let join_scaling () =
                         "{ \"shards\": 4, \"domains\": %d, \"ns\": %.0f }" d ns)
                     sharded_ns)))
           rows))
-    (String.concat ",\n"
-       (List.map
-          (fun (n, map_ns, flat_ns, speedup) ->
-            Printf.sprintf
-              "    { \"n\": %d, \"map_ns\": %.1f, \"flat_ns\": %.1f, \
-               \"speedup\": %.2f }"
-              n map_ns flat_ns speedup)
-          kernel_rows))
     (spans_json spans);
   close_out oc;
   print_endline "  wrote BENCH_join.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Provenance overhead gate                                            *)
+(* Overhead gates: interleaved baseline / enabled / disabled legs      *)
 
-(* Three legs over the same Dempster-heavy workload (extended union of
-   the 1000-tuple source pair): baseline (provenance off), enabled
-   (every combination records lineage) and disabled (off again right
-   after an enabled leg, arena reset). Each round times each leg once. The baseline goes before the enabled/disabled pair in even
+type legs = {
+  rounds : int;
+  baseline_ns : float;
+  enabled_ns : float;
+  disabled_ns : float;
+  disabled_over_baseline : float;
+  enabled_over_disabled : float;
+}
+
+(* Each round times each leg once. [enabled] switches a recorder on,
+   times the workload and switches it off again; [disabled] runs right
+   after it. The baseline goes before the enabled/disabled pair in even
    rounds and after it in odd ones, so neither compared leg is always
-   the first, cold one. The gate takes the median of the per-round
-   disabled / baseline ratios, which must stay within 5%: flipping
+   the first, cold one. Every figure is a median over the rounds; the
+   ratios are medians of the per-round ratios. *)
+let alternating_legs ~baseline ~enabled ~disabled =
+  let rounds = 9 in
+  let pair () =
+    let e = enabled () in
+    (e, disabled ())
+  in
+  let per_round =
+    List.init rounds (fun i ->
+        if i mod 2 = 0 then
+          let b = baseline () in
+          let e, d = pair () in
+          (b, e, d)
+        else
+          let e, d = pair () in
+          (baseline (), e, d))
+  in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let of_rounds f = median (List.map f per_round) in
+  { rounds;
+    baseline_ns = of_rounds (fun (b, _, _) -> b);
+    enabled_ns = of_rounds (fun (_, e, _) -> e);
+    disabled_ns = of_rounds (fun (_, _, d) -> d);
+    disabled_over_baseline = of_rounds (fun (b, _, d) -> d /. b);
+    enabled_over_disabled = of_rounds (fun (_, e, d) -> e /. d) }
+
+(* Provenance overhead gate. Three legs over the same Dempster-heavy
+   workload (extended union of the 1000-tuple source pair): baseline
+   (provenance off), enabled (every combination records lineage) and
+   disabled (off again right after an enabled leg, arena reset). The
+   median disabled / baseline ratio must stay within 5%: flipping
    recording on and off may not leave residual cost in the hot paths.
    The median enabled / disabled ratio is printed for information only.
    Results go to BENCH_provenance.json; a breach exits non-zero so CI
@@ -739,44 +717,27 @@ let provenance_gate () =
   workload ();
   let nodes = Obs.Provenance.count () in
   off ();
-  let enabled_then_disabled () =
-    Obs.Provenance.enable ();
-    let enabled = leg () in
-    off ();
-    (enabled, leg ())
+  let r =
+    alternating_legs ~baseline:leg ~disabled:leg
+      ~enabled:(fun () ->
+        Obs.Provenance.enable ();
+        let ns = leg () in
+        off ();
+        ns)
   in
-  let rounds =
-    List.init 9 (fun i ->
-        if i mod 2 = 0 then
-          let baseline = leg () in
-          let enabled, disabled = enabled_then_disabled () in
-          (baseline, enabled, disabled)
-        else
-          let enabled, disabled = enabled_then_disabled () in
-          (leg (), enabled, disabled))
-  in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort Float.compare a;
-    a.(Array.length a / 2)
-  in
-  let of_rounds f = median (List.map f rounds) in
-  let baseline_ns = of_rounds (fun (b, _, _) -> b) in
-  let enabled_ns = of_rounds (fun (_, e, _) -> e) in
-  let disabled_ns = of_rounds (fun (_, _, d) -> d) in
-  let ratio = of_rounds (fun (b, _, d) -> d /. b) in
-  let enabled_ratio = of_rounds (fun (_, e, d) -> e /. d) in
+  let ratio = r.disabled_over_baseline in
   let pass = ratio <= 1.05 in
-  print_endline
-    "provenance-gate (union-1000, median of 9 alternating rounds):";
-  Printf.printf "  baseline (off)            %12.0f ns/run\n" baseline_ns;
-  Printf.printf "  enabled  (%8d nodes)  %12.0f ns/run\n" nodes enabled_ns;
-  Printf.printf "  disabled (after reset)    %12.0f ns/run\n" disabled_ns;
+  Printf.printf
+    "provenance-gate (union-1000, median of %d alternating rounds):\n"
+    r.rounds;
+  Printf.printf "  baseline (off)            %12.0f ns/run\n" r.baseline_ns;
+  Printf.printf "  enabled  (%8d nodes)  %12.0f ns/run\n" nodes r.enabled_ns;
+  Printf.printf "  disabled (after reset)    %12.0f ns/run\n" r.disabled_ns;
   Printf.printf "  disabled/baseline ratio   %.3f (gate: <= 1.05) %s\n"
     ratio
     (if pass then "OK" else "FAIL");
   Printf.printf "  enabled/disabled ratio    %.3f (information, no gate)\n%!"
-    enabled_ratio;
+    r.enabled_over_disabled;
   let oc = open_out "BENCH_provenance.json" in
   Printf.fprintf oc
     "{\n\
@@ -791,8 +752,8 @@ let provenance_gate () =
     \  \"gate\": 1.05,\n\
     \  \"pass\": %b\n\
      }\n"
-    (List.length rounds) baseline_ns enabled_ns disabled_ns nodes ratio
-    enabled_ratio pass;
+    r.rounds r.baseline_ns r.enabled_ns r.disabled_ns nodes ratio
+    r.enabled_over_disabled pass;
   close_out oc;
   print_endline "  wrote BENCH_provenance.json\n";
   if not pass then begin
@@ -1091,7 +1052,8 @@ let sweep_gate () =
    run (metrics + tracing + flight recorder over the 4-shard/4-worker
    engine), turning everything off again has to leave the hot paths at
    their never-observed cost — the guards are one boolean load each.
-   Gate: disabled/baseline min times within 5%. The enabled leg also
+   Gate: the median disabled/baseline ratio of interleaved rounds
+   ([alternating_legs]) within 5%. The enabled leg also
    proves the clamp is gone: with metrics recording, domains = 4 must
    still run 4 workers (the exec.workers gauge says what the pool
    actually did). Results go to BENCH_obs.json; a breach exits non-zero
@@ -1104,11 +1066,11 @@ let obs_gate () =
     Some (Query.Physical.Sharded { Query.Physical.shards = 4; domains = 4 })
   in
   let workload ctx () = ignore (Query.Physical.eval_fast ~ctx ?strategy env q) in
-  let time_leg () =
+  let leg () =
+    Gc.full_major ();
     let ctx = Query.Physical.create_ctx () in
     (* A parallel run is tens of milliseconds with real scheduler
-       jitter, so batches are long (several runs each) and the min is
-       taken over more of them than the single-threaded gates need. *)
+       jitter, so batches are long (several runs each). *)
     let batch () =
       workload ctx ();
       (* warm-up *)
@@ -1120,41 +1082,46 @@ let obs_gate () =
       in
       go 1
     in
-    List.fold_left
-      (fun acc _ -> Float.min acc (batch ()))
-      Float.max_float [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    Float.min (batch ()) (Float.min (batch ()) (batch ()))
   in
   Obs.Metrics.disable ();
   Obs.Metrics.reset ();
-  let baseline_ns = time_leg () in
-  Obs.Metrics.enable ();
-  Obs.Metrics.reset ();
-  Obs.Trace.set_clock Obs.Trace.default (Obs.Clock.simulated ());
-  Obs.Trace.enable Obs.Trace.default;
-  Obs.Log.set_clock (Obs.Clock.simulated ());
-  Obs.Log.enable ();
-  let enabled_ns = time_leg () in
-  let workers =
-    match Obs.Metrics.last "exec.workers" with
-    | Some w -> int_of_float w
-    | None -> 0
+  (* What the last enabled leg saw, read before everything is reset. *)
+  let workers = ref 0 and events = ref 0 in
+  let enabled () =
+    Obs.Metrics.enable ();
+    Obs.Metrics.reset ();
+    Obs.Trace.set_clock Obs.Trace.default (Obs.Clock.simulated ());
+    Obs.Trace.enable Obs.Trace.default;
+    Obs.Log.set_clock (Obs.Clock.simulated ());
+    Obs.Log.enable ();
+    let ns = leg () in
+    workers :=
+      (match Obs.Metrics.last "exec.workers" with
+      | Some w -> int_of_float w
+      | None -> 0);
+    events := List.length (Obs.Log.events ());
+    Obs.Metrics.disable ();
+    Obs.Metrics.reset ();
+    Obs.Trace.disable Obs.Trace.default;
+    Obs.Trace.clear Obs.Trace.default;
+    Obs.Log.disable ();
+    Obs.Log.clear ();
+    ns
   in
-  let events = List.length (Obs.Log.events ()) in
-  Obs.Metrics.disable ();
-  Obs.Metrics.reset ();
-  Obs.Trace.disable Obs.Trace.default;
-  Obs.Trace.clear Obs.Trace.default;
-  Obs.Log.disable ();
-  Obs.Log.clear ();
-  let disabled_ns = time_leg () in
-  let ratio = disabled_ns /. baseline_ns in
+  let r = alternating_legs ~baseline:leg ~enabled ~disabled:leg in
+  let workers = !workers and events = !events in
+  let ratio = r.disabled_over_baseline in
   let workers_ok = workers = 4 in
   let pass = ratio <= 1.05 && workers_ok in
-  print_endline "obs-gate (sharded union-1000, shards=4 domains=4, min of 8):";
-  Printf.printf "  baseline (never observed) %12.0f ns/run\n" baseline_ns;
+  Printf.printf
+    "obs-gate (sharded union-1000, shards=4 domains=4, median of %d \
+     alternating rounds):\n"
+    r.rounds;
+  Printf.printf "  baseline (never observed) %12.0f ns/run\n" r.baseline_ns;
   Printf.printf "  enabled  (m+t+log)        %12.0f ns/run (%d events)\n"
-    enabled_ns events;
-  Printf.printf "  disabled (after reset)    %12.0f ns/run\n" disabled_ns;
+    r.enabled_ns events;
+  Printf.printf "  disabled (after reset)    %12.0f ns/run\n" r.disabled_ns;
   Printf.printf "  workers with metrics on   %d (gate: = 4) %s\n" workers
     (if workers_ok then "OK" else "FAIL");
   Printf.printf "  disabled/baseline ratio   %.3f (gate: <= 1.05) %s\n%!"
@@ -1166,6 +1133,7 @@ let obs_gate () =
     \  \"workload\": \"sharded-union-1000\",\n\
     \  \"shards\": 4,\n\
     \  \"domains\": 4,\n\
+    \  \"rounds\": %d,\n\
     \  \"baseline_ns\": %.0f,\n\
     \  \"enabled_ns\": %.0f,\n\
     \  \"disabled_ns\": %.0f,\n\
@@ -1175,7 +1143,8 @@ let obs_gate () =
     \  \"gate\": 1.05,\n\
     \  \"pass\": %b\n\
      }\n"
-    baseline_ns enabled_ns disabled_ns workers events ratio pass;
+    r.rounds r.baseline_ns r.enabled_ns r.disabled_ns workers events ratio
+    pass;
   close_out oc;
   print_endline "  wrote BENCH_obs.json\n";
   if not pass then begin

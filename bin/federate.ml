@@ -33,16 +33,9 @@ let exit_quarantine = 3
 
 (* Load every file, each through the typed channel. In quarantine mode
    ([--skip-malformed]) a file that fails to read or parse is reported
-   and skipped instead of aborting the federation. Erm.Io.load already
-   prefixes its messages with the path; strip it where we re-attach the
-   path ourselves. *)
-let strip_path_prefix path m =
-  let p = path ^ ": " in
-  let n = String.length p in
-  if String.length m >= n && String.sub m 0 n = p then
-    String.sub m n (String.length m - n)
-  else m
-
+   and skipped instead of aborting the federation. Each skip is one
+   message naming its file: Sys_error's message already does, and a
+   parse error gets the path in front of its line. *)
 let load_all ~skip_malformed files =
   let loaded, skipped =
     List.fold_left
@@ -55,19 +48,16 @@ let load_all ~skip_malformed files =
                 rels
             in
             (loaded @ named, skipped)
-        | exception Sys_error m ->
-            (loaded, skipped @ [ (path, strip_path_prefix path m) ])
+        | exception Sys_error m -> (loaded, skipped @ [ m ])
         | exception Erm.Io.Io_error { line; message; _ } ->
             ( loaded,
-              skipped
-              @ [ ( path,
-                    Printf.sprintf "line %d: %s" line
-                      (strip_path_prefix path message) ) ] ))
+              skipped @ [ Printf.sprintf "%s: line %d: %s" path line message ]
+            ))
       ([], []) files
   in
   match (skipped, skip_malformed) with
   | [], _ -> Ok (loaded, [])
-  | (path, reason) :: _, false -> Error (path ^ ": " ^ reason)
+  | reason :: _, false -> Error reason
   | _, true -> Ok (loaded, skipped)
 
 let pick_sources env = function
@@ -83,10 +73,7 @@ let pick_sources env = function
       go [] names
 
 let print_skipped skipped =
-  List.iter
-    (fun (path, reason) ->
-      Format.printf "skipped %s: %s@." path reason)
-    skipped
+  List.iter (fun reason -> Format.printf "skipped %s@." reason) skipped
 
 (* --validate: lint every source file before integrating; error-level
    findings abort the run with the source-failure exit code. *)
@@ -289,8 +276,7 @@ let run files relations discount name query csv out report_only fault_plan
             | exception Sys_error m -> fail exit_source_failure m
             | exception Erm.Io.Io_error { line; message; _ } ->
                 fail exit_source_failure
-                  (Printf.sprintf "%s: line %d: %s" dfile line
-                     (strip_path_prefix dfile message))
+                  (Printf.sprintf "%s: line %d: %s" dfile line message)
           in
           let source = Erm.Schema.name (Erm.Relation.schema rel) in
           let* outcome =

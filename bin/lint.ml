@@ -26,17 +26,25 @@
 
 open Cmdliner
 
+exception Load_failed of Analysis.Diagnostic.t
+
 let lint_queries ~files ~queries_file =
   match
     List.concat_map
       (fun path ->
-        List.map
-          (fun r -> (Erm.Schema.name (Erm.Relation.schema r), r))
-          (Erm.Io.load path))
+        match Erm.Io.load path with
+        | rels ->
+            List.map
+              (fun r -> (Erm.Schema.name (Erm.Relation.schema r), r))
+              rels
+        | exception Erm.Io.Io_error { line; col; message } ->
+            raise
+              (Load_failed
+                 (Analysis.Diagnostic.error ~file:path ~line ~col
+                    ~code:"Q001" "%s" message)))
       files
   with
-  | exception Erm.Io.Io_error { line; col; message } ->
-      [ Analysis.Diagnostic.error ~line ~col ~code:"Q001" "%s" message ]
+  | exception Load_failed d -> [ d ]
   | exception Sys_error m ->
       [ Analysis.Diagnostic.error ~code:"Q001" "%s" m ]
   | env -> (

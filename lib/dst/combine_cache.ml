@@ -17,14 +17,9 @@ type t = {
   mutable table : Mass.F.outcome Pmap.t;
   mutable hits : int;
   mutable misses : int;
-  kernel : Mass.F.kernel;
 }
 
-let default_kernel ~rule ~prov m1 m2 =
-  Mass.F.combine_rule_opt ~rule ~prov m1 m2
-
-let create ?(kernel = default_kernel) () =
-  { table = Pmap.empty; hits = 0; misses = 0; kernel }
+let create () = { table = Pmap.empty; hits = 0; misses = 0 }
 
 let hits c = c.hits
 let misses c = c.misses
@@ -66,9 +61,7 @@ let combine_policy ?policy c m1 m2 =
   | None ->
       c.misses <- c.misses + 1;
       Obs.Metrics.incr "combine_cache.miss";
-      let outcome =
-        Mass.F.combine_policy_with ~kernel:c.kernel ~policy m1 m2
-      in
+      let outcome = Mass.F.combine_policy ~policy m1 m2 in
       c.table <- Pmap.add key outcome c.table;
       outcome
 

@@ -44,13 +44,6 @@ module type S = sig
             configured — the typed form of {!Total_conflict}. *)
   (** The typed result of a policy-driven combination. *)
 
-  type kernel =
-    rule:Rule.t -> prov:(string * string) list -> t -> t -> (t * num) option
-  (** A rule-parameterized combination primitive: [prov] carries extra
-      provenance annotations (escalation tags) for the recorded Combine
-      node. {!combine_rule_opt} is the map implementation;
-      [Flat_mass.kernel] the packed one. *)
-
   val make : Domain.t -> (Vset.t * num) list -> t
   (** [make frame focals] validates and builds a mass function. Zero-mass
       entries are dropped; duplicate focal elements are summed.
@@ -155,22 +148,17 @@ module type S = sig
       Combine node tagged with the rule (and any [prov] annotations).
       @raise Frame_mismatch if the frames differ. *)
 
-  val combine_policy_with :
-    kernel:kernel -> ?policy:Rule.policy -> t -> t -> outcome
-  (** The escalation engine, parameterized by the combination kernel so
-      the memo-cache can route misses through the flat representation.
-      Below κ₀ (or with no escalation configured) the primary rule
-      runs; at or exactly on κ₀ the policy escalates — incrementing
-      [dst.combine.escalations] and either running the fallback rule
-      (its Combine node carries [escalated_from]/[kappa0] annotations)
-      or quarantining (recording a ["(quarantined)"] node). [policy]
-      defaults to {!Rule.current}. The threshold κ is always the
-      operands' raw conjunctive conflict ({!conflict}), independent of
-      the primary rule. *)
-
   val combine_policy : ?policy:Rule.policy -> t -> t -> outcome
-  (** [combine_policy_with] over {!combine_rule_opt} — the uncached
-      policy-honoring entry point every merge path uses. *)
+  (** The escalation engine: the uncached policy-honoring entry point
+      every merge path (and {!Combine_cache} on a miss) uses. Below κ₀
+      (or with no escalation configured) the primary rule runs through
+      {!combine_rule_opt}; at or exactly on κ₀ the policy escalates —
+      incrementing [dst.combine.escalations] and either running the
+      fallback rule (its Combine node carries [escalated_from]/[kappa0]
+      annotations) or quarantining (recording a ["(quarantined)"]
+      node). [policy] defaults to {!Rule.current}. The threshold κ is
+      always the operands' raw conjunctive conflict ({!conflict}),
+      independent of the primary rule. *)
 
   val combine_policy_exn : ?policy:Rule.policy -> t -> t -> t
   (** Like {!combine_policy} but raising: {!Total_conflict} on

@@ -12,10 +12,9 @@
     fallback rule or quarantine the merge with a typed outcome.
 
     A policy is honored end-to-end: {!Mass.S.combine_policy},
-    {!Combine_cache} (the policy is part of the cache key),
-    {!Flat_mass} (per-rule flat kernels, bit-exact against the map
-    kernels), the merge paths of [Erm.Ops] and [Integration], the
-    sharded execution engine, and the CLI/REPL surfaces. *)
+    {!Combine_cache} (the policy is part of the cache key), the merge
+    paths of [Erm.Ops] and [Integration], the sharded execution engine,
+    and the CLI/REPL surfaces. *)
 
 type t =
   | Dempster  (** Conjunctive consensus, conflict normalized away. *)

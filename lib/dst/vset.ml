@@ -13,7 +13,13 @@ let mem = S.mem
 let add = S.add
 let remove = S.remove
 let union = S.union
-let inter = S.inter
+
+(* Share an operand when it already is the intersection: combination
+   results then reuse their operands' focal sets instead of allocating
+   a fresh copy of each. *)
+let inter a b =
+  if S.subset a b then a else if S.subset b a then b else S.inter a b
+
 let diff = S.diff
 let subset = S.subset
 let disjoint = S.disjoint

@@ -22,6 +22,11 @@ val add : Value.t -> t -> t
 val remove : Value.t -> t -> t
 val union : t -> t -> t
 val inter : t -> t -> t
+(** [inter a b] is [a ∩ b], and physically shares an operand when it
+    can: it returns [a] itself when [a ⊆ b] and otherwise [b] itself
+    when [b ⊆ a]. Only in the remaining case is a new set built. The
+    result is always structurally equal to [Set.Make (Value).inter]. *)
+
 val diff : t -> t -> t
 val subset : t -> t -> bool
 (** [subset a b] is true iff [a ⊆ b]. *)

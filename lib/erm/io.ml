@@ -305,10 +305,9 @@ let to_string r =
   Relation.iter (fun t -> add "tuple %s\n" (tuple_to_string t)) r;
   Buffer.contents buf
 
-(* Both failure channels carry the file path: open_in's Sys_error
-   already does, parse errors get it prefixed — a federation of dozens
-   of .erd files is undebuggable from "line 3: bad membership pair"
-   alone. *)
+(* Sys_error names the file (open_in's message already does). A parse
+   error carries only its position: the caller asked for [path] and
+   prints it once, in front of line:col. *)
 let load path =
   let body () =
     let ic =
@@ -319,11 +318,7 @@ let load path =
     let n = in_channel_length ic in
     let content = really_input_string ic n in
     close_in ic;
-    let rels =
-      try relations_of_string content
-      with Io_error { line; col; message } ->
-        raise (Io_error { line; col; message = path ^ ": " ^ message })
-    in
+    let rels = relations_of_string content in
     Obs.Metrics.incr "io.load.files";
     Obs.Metrics.incr ~by:(List.length rels) "io.load.relations";
     rels

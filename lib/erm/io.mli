@@ -57,10 +57,11 @@ val tuple_of_string : Schema.t -> string -> Etuple.t
     @raise Io_error on malformed input. *)
 
 val load : string -> Relation.t list
-(** Reads a [.erd] file. Both failure channels name the file:
+(** Reads a [.erd] file.
     @raise Sys_error on IO failures (message includes the path);
-    @raise Io_error on parse failures, with the message prefixed by the
-    path. *)
+    @raise Io_error on parse failures, exactly as {!relations_of_string}
+    raises it: the message does not repeat the path, which the caller
+    already holds and prints in front of [line:col]. *)
 
 val save : string -> Relation.t list -> unit
 

@@ -29,23 +29,6 @@ let lookup_two sa sb a =
   | Some attr -> Some attr
   | None -> Erm.Schema.find_opt sb a
 
-(* A per-shard Dempster cache backed by the flat-representation kernel,
-   with its own interner table per frame (interners are
-   single-threaded). *)
-let flat_cache () =
-  let tables = ref [] in
-  let resolve frame =
-    match
-      List.find_opt (fun (f, _) -> Dst.Domain.equal f frame) !tables
-    with
-    | Some (_, it) -> it
-    | None ->
-        let it = Dst.Interner.create frame in
-        tables := (frame, it) :: !tables;
-        it
-  in
-  Dst.Combine_cache.create ~kernel:(Dst.Flat_mass.kernel resolve) ()
-
 (* --- canonical merge ------------------------------------------------ *)
 
 (* Fold the shards back together in ascending shard order; Relation.add
@@ -131,11 +114,11 @@ let execute_plan cfg env plan =
   let workers = max 1 cfg.P.domains in
   Obs.Metrics.gauge "exec.shards" (float_of_int shards);
   Obs.Metrics.gauge "exec.workers" (float_of_int workers);
-  (* One flat-kernel cache per shard, at every worker count: giving
+  (* One cold combine cache per shard, at every worker count: giving
      the single-worker run the same cold per-shard caches a parallel
      run gets is what makes combine_cache.* counters — and therefore
      whole metric dumps — worker-count-invariant. *)
-  let shard_caches = Array.init shards (fun _ -> flat_cache ()) in
+  let shard_caches = Array.init shards (fun _ -> Dst.Combine_cache.create ()) in
   let run_shards f = Pool.run ~domains:workers ~tasks:shards f in
   let in_span op f =
     if Obs.Trace.on () then

@@ -8,9 +8,9 @@
     bit-identical to the inline executor's for {e any} shard count and
     {e any} worker count (the 5th conformance leg in
     test/test_conformance.ml). Per-shard Dempster combination always
-    runs on the packed {!Dst.Flat_mass} representation through a fresh
-    per-shard {!Dst.Combine_cache} — at every worker count, so cache
-    hit/miss counters cannot depend on [domains].
+    runs through a fresh per-shard {!Dst.Combine_cache} — at every
+    worker count, so cache hit/miss counters cannot depend on
+    [domains].
 
     {b Determinism contract} (see DESIGN.md §6–7 for the full
     argument):

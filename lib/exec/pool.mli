@@ -11,7 +11,7 @@
     cannot depend on which worker ran which task or in what order they
     finished — provided [f] itself touches no shared mutable state.
     The engine honours that proviso by giving each task its own
-    interner, scratch and cache; the process-global telemetry stores
+    combination cache; the process-global telemetry stores
     are handled by the pool itself. Before spawning, the parallel path
     forks one [Obs.Metrics] / [Obs.Trace] / [Obs.Log] buffer per task
     (on the calling domain, so trace forks hang off the enclosing

@@ -9,8 +9,8 @@
    - the sharded engine (Exec.Engine behind Query.Physical.Sharded),
      for every tested shard count × worker (domain) count, including
      with tracing or provenance recording live — partitioning and
-     parallelism must have no representational effect either (the
-     per-shard fast paths run Dst.Flat_mass kernels);
+     parallelism must have no representational effect either (each
+     shard combines through its own cold Dst.Combine_cache);
    - the single-source integration surface (Integration.Multi), which
      must be the identity on any query result;
    - the persistent store's delta path (Store.Estore + Store.Delta):

@@ -373,6 +373,45 @@ let test_pp_notation () =
   Alcotest.(check string)
     "paper notation with ~ for omega" "[~^0.5; red^0.5]" (M.to_string m)
 
+(* --- Vset.inter: structure and physical sharing ------------------------ *)
+
+module Sv = Set.Make (V)
+
+let test_vset_inter_sharing () =
+  let shares msg expected got = Alcotest.(check bool) msg true (got == expected) in
+  shares "a ⊆ b returns a itself" bc (Vs.inter bc abc);
+  shares "b ⊆ a returns b itself" bc (Vs.inter abc bc);
+  shares "equal sets return the first operand" abc
+    (Vs.inter abc (Vs.of_strings [ "a"; "b"; "c" ]));
+  shares "empty operand is returned" Vs.empty (Vs.inter Vs.empty abc);
+  Alcotest.check vset "overlap builds the intersection"
+    (Vs.of_strings [ "c" ])
+    (Vs.inter (Vs.of_strings [ "a"; "c" ]) (Vs.of_strings [ "c"; "d" ]))
+
+(* Random subsets of a 10-value universe; half the draws make one
+   operand a subset of the other, so both sharing cases occur. *)
+let vset_inter_matches_set =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"inter is Set.Make (Value).inter" ~count:500
+       (QCheck.int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Workload.Rng.create seed in
+         let subset () =
+           Vs.of_list
+             (List.filter
+                (fun _ -> Workload.Rng.int rng 2 = 0)
+                (List.init 10 (fun i -> V.string (Printf.sprintf "v%d" i))))
+         in
+         let a = subset () in
+         let b =
+           match Workload.Rng.int rng 4 with
+           | 0 -> Vs.union a (subset ())
+           | 1 -> Vs.filter (fun _ -> Workload.Rng.int rng 2 = 0) a
+           | _ -> subset ()
+         in
+         let std x = Sv.of_list (Vs.to_list x) in
+         Sv.equal (std (Vs.inter a b)) (Sv.inter (std a) (std b))))
+
 (* --- metamorphic combination properties ----------------------------- *)
 
 (* Dempster's rule probed through the production paths: the memo-cache
@@ -455,7 +494,10 @@ let () =
       ( "vset",
         [ Alcotest.test_case "set operations" `Quick test_vset_ops;
           Alcotest.test_case "pair quantifiers" `Quick test_vset_pairs;
-          Alcotest.test_case "printing" `Quick test_vset_pp ] );
+          Alcotest.test_case "printing" `Quick test_vset_pp;
+          Alcotest.test_case "inter shares a subset operand" `Quick
+            test_vset_inter_sharing;
+          vset_inter_matches_set ] );
       ("domain", [ Alcotest.test_case "basics" `Quick test_domain ]);
       ( "mass-construct",
         [ Alcotest.test_case "make" `Quick test_mass_make;

@@ -10,10 +10,10 @@
      above must not, κ₀ = 0 always fires, and both fallback shapes
      (rule switch vs quarantine) produce the advertised outcome and
      counters;
-   - bit-exactness of every flat kernel against its map kernel over the
+   - every float rule against an exact-rational oracle over the
      adversarial scenario corpus (Zadeh, near-total, one-against-many,
-     dissenter) — the same contract test_flat_mass.ml enforces for
-     Dempster, extended to all rule families.
+     dissenter): the same focal sets, the same total-conflict verdict,
+     and each mass and κ within a fixed absolute error.
 
    Seeds: qcheck honours QCHECK_SEED, which CI pins. *)
 
@@ -21,7 +21,6 @@ module R = Workload.Rng
 module G = Workload.Gen
 module Sc = Workload.Scenario
 module F = Dst.Mass.F
-module Fm = Dst.Flat_mass
 module Rule = Dst.Rule
 
 let count = 200
@@ -41,12 +40,6 @@ let rules =
 let mass_pair ?omega_floor seed =
   let rng = R.create seed in
   (G.evidence rng ?omega_floor dom, G.evidence rng ?omega_floor dom)
-
-let exact_opt o1 o2 =
-  match (o1, o2) with
-  | None, None -> true
-  | Some (m, k), Some (m', k') -> F.compare m m' = 0 && Float.equal k k'
-  | Some _, None | None, Some _ -> false
 
 let close a b = Float.abs (a -. b) < 1e-9
 
@@ -352,13 +345,11 @@ let many_suite =
             close w mean)
           (F.focals m)) ]
 
-(* --- Flat kernels, bit-exact per rule over the adversarial corpus ---- *)
+(* --- Every rule against an exact-rational oracle ---------------------- *)
+
+module Q = Dst.Mass.Make (Bigq)
 
 let corpus_dom = G.domain ~size:8 "rules-corpus"
-
-let flat_kernel =
-  let it = Dst.Interner.create corpus_dom in
-  Fm.kernel (fun _frame -> it)
 
 let corpus_pairs =
   (* All adjacent pairs of every scenario group: 20 groups x pairs. *)
@@ -371,23 +362,101 @@ let corpus_pairs =
       adj group)
     (Sc.corpus ~seed:424242 corpus_dom)
 
-let conformance_suite =
+(* Each float mass lifts exactly to a dyadic rational. The exact
+   instance validates Σm = 1 exactly, which a float assignment such as
+   0.99 + 0.01 meets only up to rounding, so the lift is rescaled by its
+   exact total, a factor within a few ulps of one. *)
+let lift m =
+  Q.make_normalized (F.frame m)
+    (List.map (fun (set, x) -> (set, Bigq.of_float x)) (F.focals m))
+
+let abs_error x q = Bigq.to_float (Bigq.abs (Bigq.sub (Bigq.of_float x) q))
+
+(* Measured over the corpus, the largest absolute error on a mass or on
+   κ is 1.1e-13 for Dempster, on a Zadeh pair, where 1/(1-κ) = 10^4
+   amplifies the rounding of κ. Every other rule stays below 4.2e-16:
+   discounting keeps κ ≤ 1 - (1-α)², and the other rules never divide. *)
+let oracle_bound = function Rule.Dempster -> 1e-12 | _ -> 1e-15
+
+(* Float and exact results of one combination: the same verdict, the
+   same focal sets, and every mass and κ within the rule's bound. *)
+let check_oracle rule label (m1, m2) =
+  let bound = oracle_bound rule in
+  match
+    ( F.combine_rule_opt ~rule m1 m2,
+      Q.combine_rule_opt ~rule (lift m1) (lift m2) )
+  with
+  | None, None -> ()
+  | Some (fm, fk), Some (qm, qk) ->
+      Alcotest.(check bool)
+        (label ^ ": same focal sets") true
+        (List.equal Dst.Vset.equal
+           (List.map fst (F.focals fm))
+           (List.map fst (Q.focals qm)));
+      List.iter
+        (fun e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: error %g within %g" label e bound)
+            true (e <= bound))
+        (abs_error fk qk
+        :: List.map2
+             (fun (_, x) (_, q) -> abs_error x q)
+             (F.focals fm) (Q.focals qm))
+  | Some _, None | None, Some _ ->
+      Alcotest.failf "%s: float and exact verdicts differ" label
+
+let oracle_suite =
   List.map
     (fun rule ->
       Alcotest.test_case
-        (Printf.sprintf "flat %s kernel = map kernel over the corpus"
+        (Printf.sprintf "%s = exact rational over the corpus"
            (Rule.to_string rule))
         `Quick
         (fun () ->
           List.iteri
-            (fun i (m1, m2) ->
-              let map_r = F.combine_rule_opt ~rule m1 m2 in
-              let flat_r = flat_kernel ~rule ~prov:[] m1 m2 in
-              Alcotest.(check bool)
-                (Printf.sprintf "pair %d bit-exact" i)
-                true (exact_opt map_r flat_r))
+            (fun i pair -> check_oracle rule (Printf.sprintf "pair %d" i) pair)
             corpus_pairs))
     rules
+
+(* The edges the corpus does not reach: κ = 1 exactly, where Dempster
+   has no result, and operands over different frames. *)
+let corners =
+  let v0, v1 =
+    match Dst.Vset.to_list (Dst.Domain.values corpus_dom) with
+    | a :: b :: _ -> (a, b)
+    | _ -> assert false
+  in
+  [ Alcotest.test_case "total conflict" `Quick (fun () ->
+        let pair = (F.certain corpus_dom v0, F.certain corpus_dom v1) in
+        Alcotest.(check bool)
+          "dempster reports total conflict" true
+          (Option.is_none (F.combine_opt (fst pair) (snd pair)));
+        List.iter
+          (fun rule -> check_oracle rule (Rule.to_string rule) pair)
+          rules);
+    Alcotest.test_case "frame mismatch" `Quick (fun () ->
+        let other = G.domain ~size:4 "rules-other" in
+        Alcotest.check_raises "float combine rejects mixed frames"
+          (F.Frame_mismatch (corpus_dom, other))
+          (fun () ->
+            ignore (F.combine_opt (F.vacuous corpus_dom) (F.vacuous other)));
+        Alcotest.check_raises "exact combine rejects mixed frames"
+          (Q.Frame_mismatch (corpus_dom, other))
+          (fun () ->
+            ignore (Q.combine_opt (Q.vacuous corpus_dom) (Q.vacuous other))))
+  ]
+
+let bigq_suite =
+  [ prop "Bigq lifts floats exactly and orders them as floats do"
+      seed_arb
+      (fun s ->
+        let rng = R.create s in
+        let x = R.float rng 2.0 -. 1.0 and y = R.float rng 1e-6 +. 1e-9 in
+        let qx = Bigq.of_float x and qy = Bigq.of_float y in
+        Bigq.to_float qx = x
+        && Bigq.compare qx qy = Float.compare x y
+        && Bigq.equal (Bigq.sub (Bigq.add qx qy) qy) qx
+        && Bigq.equal (Bigq.div (Bigq.mul qx qy) qy) qx) ]
 
 let corpus_shape =
   [ Alcotest.test_case "corpus covers all four scenario kinds" `Quick
@@ -497,6 +566,8 @@ let () =
       ("kappa0-degeneracy", degeneracy_suite);
       ("escalation", escalation_suite);
       ("combine-many", many_suite);
-      ("flat-conformance", conformance_suite);
+      ("rational-oracle", oracle_suite);
+      ("corners", corners);
+      ("bigq", bigq_suite);
       ("corpus", corpus_shape);
       ("parsing", parsing_suite) ]
