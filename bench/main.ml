@@ -1,6 +1,9 @@
 (* Benchmark harness: one Bechamel test per paper artifact (Tables 2-5,
-   Figures 1 and 3, the §2.1/§2.2 computations) plus scaling sweeps and
-   baseline comparisons on synthetic workloads.
+   Figures 1 and 3, the §2.1/§2.2 computations) plus scaling sweeps,
+   baseline comparisons and overhead gates on synthetic workloads. The
+   sweeps and gates share one batch timer ([ns_per_run]); every timed gate
+   compares its legs through one interleaved routine
+   ([alternating_legs]).
 
    Before timing anything, each artifact is regenerated once and checked
    against the paper so a broken build cannot produce plausible-looking
@@ -345,28 +348,136 @@ let federated_tests =
         Integration.Federated.select_first ~threshold pred a b) ]
 
 (* ------------------------------------------------------------------ *)
+(* Measurement: one batch timer, one interleaved leg routine           *)
+
+(* Mean ns per call of [f]: one warm-up call, then calls until [budget]
+   seconds have passed (at most 1000). Bechamel's quota-driven
+   repetition would take hours on the 10^8-pair nested loop, so a call
+   that alone uses up the budget is not repeated: its warm-up time is
+   the result. *)
+let ns_per_run ?(budget = 0.2) f =
+  let t0 = Unix.gettimeofday () in
+  ignore (f ());
+  let t1 = Unix.gettimeofday () in
+  if t1 -. t0 >= budget then (t1 -. t0) *. 1e9
+  else
+    let rec go n =
+      ignore (f ());
+      let dt = Unix.gettimeofday () -. t1 in
+      if dt < budget && n < 1000 then go (n + 1)
+      else dt /. float_of_int n *. 1e9
+    in
+    go 1
+
+(* One gate leg: the min of 3 short batches, from a collected heap so a
+   leg does not pay for the garbage the leg before it left behind. *)
+let leg ?(budget = 0.05) f () =
+  Gc.full_major ();
+  let batch () = ns_per_run ~budget f in
+  Float.min (batch ()) (Float.min (batch ()) (batch ()))
+
+type timings = {
+  names : string list;  (** leg names, baseline first *)
+  per_round : float array list;  (** ns/run of each leg, in [names] order *)
+}
+
+(* Times each leg once per round, over nine rounds. The legs after the
+   baseline run back to back in list order, so a disabled leg runs right
+   after its enabled one; the baseline goes before them in even rounds
+   and after them in odd ones, so no compared leg is always the first,
+   cold one. *)
+let alternating_legs (name, baseline) legs =
+  let others () = List.map (fun (_, f) -> f ()) legs in
+  let round i =
+    if i mod 2 = 0 then
+      let b = baseline () in
+      b :: others ()
+    else
+      let o = others () in
+      baseline () :: o
+  in
+  { names = name :: List.map fst legs;
+    per_round = List.init 9 (fun i -> Array.of_list (round i)) }
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* ------------------------------------------------------------------ *)
+(* BENCH_*.json                                                         *)
+
+type json =
+  | N of string  (** a number (or null), already formatted *)
+  | S of string
+  | B of bool
+  | L of json list
+  | O of (string * json) list
+
+let int n = N (string_of_int n)
+let fixed digits x = N (Printf.sprintf "%.*f" digits x)
+
+(* Arrays of objects get one element per line; everything else stays on
+   its line. *)
+let rec json_to_string indent = function
+  | N s -> s
+  | S s -> "\"" ^ s ^ "\""
+  | B b -> string_of_bool b
+  | L (O _ :: _ as xs) ->
+      let inner = indent ^ "  " in
+      "[\n" ^ inner
+      ^ String.concat (",\n" ^ inner) (List.map (json_to_string inner) xs)
+      ^ "\n" ^ indent ^ "]"
+  | L xs -> "[" ^ String.concat ", " (List.map (json_to_string indent) xs) ^ "]"
+  | O fields ->
+      "{ "
+      ^ String.concat ", "
+          (List.map
+             (fun (k, v) -> "\"" ^ k ^ "\": " ^ json_to_string indent v)
+             fields)
+      ^ " }"
+
+(* Writes a top-level object, one field per line. *)
+let write_json file fields =
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc "{\n";
+      output_string oc
+        (String.concat ",\n"
+           (List.map
+              (fun (k, v) -> "  \"" ^ k ^ "\": " ^ json_to_string "  " v)
+              fields));
+      output_string oc "\n}\n");
+  Printf.printf "  wrote %s\n\n%!" file
+
+(* ------------------------------------------------------------------ *)
 (* Span capture for the BENCH_*.json artifacts                         *)
 
 (* Timed loops all run with tracing off (the disabled guard is the
    production configuration); afterwards one representative execution
    is repeated with spans on and its per-operator summary is embedded
-   next to the timings. *)
+   next to the timings. A failing traced run fails the bench. *)
 let traced_spans f =
   Obs.Trace.clear Obs.Trace.default;
   Obs.Trace.enable Obs.Trace.default;
-  (match f () with () -> () | exception _ -> ());
-  let summary = Obs.Trace.summary Obs.Trace.default in
-  Obs.Trace.disable Obs.Trace.default;
-  Obs.Trace.clear Obs.Trace.default;
-  summary
-
-let spans_json summary =
-  String.concat ",\n"
+  let summary =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Trace.disable Obs.Trace.default;
+        Obs.Trace.clear Obs.Trace.default)
+      (fun () ->
+        f ();
+        Obs.Trace.summary Obs.Trace.default)
+  in
+  L
     (List.map
        (fun (name, count, total_ms) ->
-         Printf.sprintf
-           "    { \"op\": \"%s\", \"count\": %d, \"total_ms\": %.3f }" name
-           count total_ms)
+         O
+           [ ("op", S name);
+             ("count", int count);
+             ("total_ms", fixed 3 total_ms) ])
        summary)
 
 (* ------------------------------------------------------------------ *)
@@ -380,16 +491,6 @@ let spans_json summary =
    lost to failed or truncated sources. Deterministic: fixed seeds.
    Results go to stdout and BENCH_federation.json. *)
 let federation_fault_sweep () =
-  let time f =
-    ignore (f ());
-    let t0 = Unix.gettimeofday () in
-    let rec go n =
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < 0.2 && n < 1000 then go (n + 1) else dt /. float_of_int n *. 1e9
-    in
-    go 1
-  in
   let fed_rng = Workload.Rng.create 4242 in
   let fed_schema = Workload.Gen.schema "faulty" in
   let a, b = Workload.Gen.source_pair fed_rng ~size:500 ~overlap:0.6 fed_schema in
@@ -433,7 +534,7 @@ let federation_fault_sweep () =
   let rows =
     List.map
       (fun fail_rate ->
-        let ns = time (fun () -> run_once fail_rate 1) in
+        let ns = ns_per_run (fun () -> run_once fail_rate 1) in
         (* Quality over 20 seeded chaos runs: worst sn deviation on
            surviving keys, mean entity loss. *)
         let seeds = List.init 20 (fun i -> i + 1) in
@@ -473,47 +574,24 @@ let federation_fault_sweep () =
            %.1f\n\
            %!"
           fail_rate ns gaps mean_lost;
-        (fail_rate, ns, gaps, mean_lost))
+        O
+          [ ("fail_rate", fixed 2 fail_rate);
+            ("ns_per_run", fixed 0 ns);
+            ("max_sn_gap", fixed 4 gaps);
+            ("mean_entities_lost", fixed 1 mean_lost) ])
       [ 0.0; 0.2; 0.5; 0.8 ]
   in
   let spans = traced_spans (fun () -> ignore (run_once 0.5 1)) in
-  let oc = open_out "BENCH_federation.json" in
-  Printf.fprintf oc
-    "{\n  \"federation_fault_sweep\": [\n%s\n  ],\n  \"spans\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (fail_rate, ns, gap, lost) ->
-            Printf.sprintf
-              "    { \"fail_rate\": %.2f, \"ns_per_run\": %.0f, \
-               \"max_sn_gap\": %.4f, \"mean_entities_lost\": %.1f }"
-              fail_rate ns gap lost)
-          rows))
-    (spans_json spans);
-  close_out oc;
-  print_endline "  wrote BENCH_federation.json\n"
+  write_json "BENCH_federation.json"
+    [ ("federation_fault_sweep", L rows); ("spans", spans) ]
 
 (* ------------------------------------------------------------------ *)
 (* Join scaling: indexed vs nested loop, sizes 10^2 .. 10^6, plus the  *)
-(* sharded engine's worker curve                                      *)
+(* physical executor inline and through the sharded engine             *)
 
-(* Bechamel's quota-driven repetition would take hours on the 10^8-pair
-   nested loop, so this sweep uses a plain wall-clock timer: repeat
-   until 0.2 s has elapsed (one warm-up run discarded), a single run for
-   anything that already takes longer. The nested loop is only run up to
-   10^4 (10^8 pairs); above that its column is null. Results go to
-   stdout and BENCH_join.json. *)
-let wall_time f =
-  ignore (f ());
-  let t0 = Unix.gettimeofday () in
-  let rec go n =
-    ignore (f ());
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < 0.2 && n < 1000 then go (n + 1) else dt /. float_of_int n *. 1e9
-  in
-  go 1
-
-let join_domain_counts = [ 1; 2; 4 ]
-
+(* The nested loop is only run up to 10^4 (10^8 pairs, one timed call);
+   above that its column is null. Results go to stdout and
+   BENCH_join.json. *)
 let join_scaling () =
   let key_eq =
     Erm.Predicate.theta Erm.Predicate.Eq (Erm.Predicate.Field "k")
@@ -538,45 +616,57 @@ let join_scaling () =
         in
         let nested_ns =
           if size > 10_000 then None (* n^2 > 10^8 pairs: hours per run *)
-          else if size >= 10_000 then begin
-            (* single run: n^2 = 10^8 tuple pairs *)
-            let t0 = Unix.gettimeofday () in
-            ignore (Erm.Ops.join key_eq a b);
-            Some ((Unix.gettimeofday () -. t0) *. 1e9)
-          end
-          else Some (wall_time (fun () -> Erm.Ops.join key_eq a b))
+          else Some (ns_per_run (fun () -> Erm.Ops.join key_eq a b))
         in
         let indexed_ns =
-          wall_time (fun () ->
+          ns_per_run (fun () ->
               Erm.Ops.join_indexed ~left_attr:"k" ~right_attr:"r_k" a b)
         in
-        (* The same equi-join through the sharded engine (4 shards,
-           growing worker counts) — metrics/tracing are off here, so
-           this measures the parallel configuration. *)
+        (* Inline next to the sharded engine (4 shards, growing worker
+           counts) splits the physical layer's cost from the engine's;
+           metrics and tracing are off here. *)
         let env = [ ("ja", a); ("jb", b) ] in
+        let strategy_ns strategy =
+          ns_per_run (fun () ->
+              Query.Physical.eval_fast
+                ~ctx:(Query.Physical.create_ctx ())
+                ~strategy env join_q)
+        in
+        let inline_ns = strategy_ns Query.Physical.Inline in
         let sharded_ns =
           List.map
             (fun domains ->
               ( domains,
-                wall_time (fun () ->
-                    Query.Physical.eval_fast
-                      ~ctx:(Query.Physical.create_ctx ())
-                      ~strategy:
-                        (Query.Physical.Sharded { shards = 4; domains })
-                      env join_q) ))
-            join_domain_counts
+                strategy_ns (Query.Physical.Sharded { shards = 4; domains }) ))
+            [ 1; 2; 4 ]
         in
-        let speedup = Option.map (fun n -> n /. indexed_ns) nested_ns in
-        Printf.printf "  n=%-7d nested-loop %s  indexed %12.0f ns%s\n%!" size
+        Printf.printf
+          "  n=%-7d nested-loop %s  indexed %12.0f ns  inline %12.0f ns%s\n%!"
+          size
           (match nested_ns with
           | Some ns -> Printf.sprintf "%14.0f ns" ns
           | None -> "     (skipped) ")
-          indexed_ns
+          indexed_ns inline_ns
           (String.concat ""
              (List.map
                 (fun (d, ns) -> Printf.sprintf "  shard4/dom%d %12.0f ns" d ns)
                 sharded_ns));
-        (size, nested_ns, indexed_ns, speedup, sharded_ns))
+        let opt f = function Some x -> f x | None -> N "null" in
+        O
+          [ ("size", int size);
+            ("nested_ns", opt (fixed 0) nested_ns);
+            ("indexed_ns", fixed 0 indexed_ns);
+            ("speedup", opt (fun ns -> fixed 2 (ns /. indexed_ns)) nested_ns);
+            ("inline_ns", fixed 0 inline_ns);
+            ( "sharded",
+              L
+                (List.map
+                   (fun (d, ns) ->
+                     O
+                       [ ("shards", int 4);
+                         ("domains", int d);
+                         ("ns", fixed 0 ns) ])
+                   sharded_ns) ) ])
       [ 100; 1_000; 10_000; 100_000; 1_000_000 ]
   in
   (* Per-operator spans for a representative physical-plan execution of
@@ -595,244 +685,7 @@ let join_scaling () =
     traced_spans (fun () ->
         ignore (Query.Physical.run env "ja JOIN jb ON k = r_k"))
   in
-  let opt_ns = function
-    | Some ns -> Printf.sprintf "%.0f" ns
-    | None -> "null"
-  in
-  let opt_ratio = function
-    | Some r -> Printf.sprintf "%.2f" r
-    | None -> "null"
-  in
-  let oc = open_out "BENCH_join.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"join_scaling\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"spans\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (size, nested_ns, indexed_ns, speedup, sharded_ns) ->
-            Printf.sprintf
-              "    { \"size\": %d, \"nested_ns\": %s, \"indexed_ns\": %.0f, \
-               \"speedup\": %s, \"sharded\": [%s] }"
-              size (opt_ns nested_ns) indexed_ns (opt_ratio speedup)
-              (String.concat ", "
-                 (List.map
-                    (fun (d, ns) ->
-                      Printf.sprintf
-                        "{ \"shards\": 4, \"domains\": %d, \"ns\": %.0f }" d ns)
-                    sharded_ns)))
-          rows))
-    (spans_json spans);
-  close_out oc;
-  print_endline "  wrote BENCH_join.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Overhead gates: interleaved baseline / enabled / disabled legs      *)
-
-type legs = {
-  rounds : int;
-  baseline_ns : float;
-  enabled_ns : float;
-  disabled_ns : float;
-  disabled_over_baseline : float;
-  enabled_over_disabled : float;
-}
-
-(* Each round times each leg once. [enabled] switches a recorder on,
-   times the workload and switches it off again; [disabled] runs right
-   after it. The baseline goes before the enabled/disabled pair in even
-   rounds and after it in odd ones, so neither compared leg is always
-   the first, cold one. Every figure is a median over the rounds; the
-   ratios are medians of the per-round ratios. *)
-let alternating_legs ~baseline ~enabled ~disabled =
-  let rounds = 9 in
-  let pair () =
-    let e = enabled () in
-    (e, disabled ())
-  in
-  let per_round =
-    List.init rounds (fun i ->
-        if i mod 2 = 0 then
-          let b = baseline () in
-          let e, d = pair () in
-          (b, e, d)
-        else
-          let e, d = pair () in
-          (baseline (), e, d))
-  in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort Float.compare a;
-    a.(Array.length a / 2)
-  in
-  let of_rounds f = median (List.map f per_round) in
-  { rounds;
-    baseline_ns = of_rounds (fun (b, _, _) -> b);
-    enabled_ns = of_rounds (fun (_, e, _) -> e);
-    disabled_ns = of_rounds (fun (_, _, d) -> d);
-    disabled_over_baseline = of_rounds (fun (b, _, d) -> d /. b);
-    enabled_over_disabled = of_rounds (fun (_, e, d) -> e /. d) }
-
-(* Provenance overhead gate. Three legs over the same Dempster-heavy
-   workload (extended union of the 1000-tuple source pair): baseline
-   (provenance off), enabled (every combination records lineage) and
-   disabled (off again right after an enabled leg, arena reset). The
-   median disabled / baseline ratio must stay within 5%: flipping
-   recording on and off may not leave residual cost in the hot paths.
-   The median enabled / disabled ratio is printed for information only.
-   Results go to BENCH_provenance.json; a breach exits non-zero so CI
-   fails. *)
-let provenance_gate () =
-  let a, b = baseline_pair in
-  let workload () = ignore (Erm.Ops.union a b) in
-  let batch () =
-    workload ();
-    (* warm-up *)
-    let t0 = Unix.gettimeofday () in
-    let rec go n =
-      workload ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < 0.05 && n < 1000 then go (n + 1) else dt /. float_of_int n *. 1e9
-    in
-    go 1
-  in
-  (* A leg starts from a collected heap, so the leg after an enabled one
-     does not pay for the arena that leg left behind; min of 3 batches. *)
-  let leg () =
-    Gc.full_major ();
-    Float.min (batch ()) (Float.min (batch ()) (batch ()))
-  in
-  let off () =
-    Obs.Provenance.disable ();
-    Obs.Provenance.reset ()
-  in
-  (* Nodes one run records into a fresh arena. *)
-  Obs.Provenance.reset ();
-  Obs.Provenance.enable ();
-  workload ();
-  let nodes = Obs.Provenance.count () in
-  off ();
-  let r =
-    alternating_legs ~baseline:leg ~disabled:leg
-      ~enabled:(fun () ->
-        Obs.Provenance.enable ();
-        let ns = leg () in
-        off ();
-        ns)
-  in
-  let ratio = r.disabled_over_baseline in
-  let pass = ratio <= 1.05 in
-  Printf.printf
-    "provenance-gate (union-1000, median of %d alternating rounds):\n"
-    r.rounds;
-  Printf.printf "  baseline (off)            %12.0f ns/run\n" r.baseline_ns;
-  Printf.printf "  enabled  (%8d nodes)  %12.0f ns/run\n" nodes r.enabled_ns;
-  Printf.printf "  disabled (after reset)    %12.0f ns/run\n" r.disabled_ns;
-  Printf.printf "  disabled/baseline ratio   %.3f (gate: <= 1.05) %s\n"
-    ratio
-    (if pass then "OK" else "FAIL");
-  Printf.printf "  enabled/disabled ratio    %.3f (information, no gate)\n%!"
-    r.enabled_over_disabled;
-  let oc = open_out "BENCH_provenance.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"union-1000\",\n\
-    \  \"rounds\": %d,\n\
-    \  \"baseline_ns\": %.0f,\n\
-    \  \"enabled_ns\": %.0f,\n\
-    \  \"disabled_ns\": %.0f,\n\
-    \  \"enabled_nodes\": %d,\n\
-    \  \"disabled_over_baseline\": %.4f,\n\
-    \  \"enabled_over_disabled\": %.4f,\n\
-    \  \"gate\": 1.05,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    r.rounds r.baseline_ns r.enabled_ns r.disabled_ns nodes ratio
-    r.enabled_over_disabled pass;
-  close_out oc;
-  print_endline "  wrote BENCH_provenance.json\n";
-  if not pass then begin
-    print_endline
-      "  PROVENANCE GATE FAILED - disabled evaluation regressed > 5%";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Sharded-engine overhead gate                                        *)
-
-(* The Sharded strategy with shards = 1 must cost the same as the plain
-   physical executor — the engine stands aside entirely below two
-   shards, so routing everything through the strategy seam has to be
-   free. Gate: min times within 5%. The 4-shard single-worker ratio is
-   reported as information (partitioning + merge cost, paid back only
-   when workers parallelise). Results go to BENCH_sharded_gate.json; a
-   breach exits non-zero so CI fails. *)
-let sharded_gate () =
-  let a, b = baseline_pair in
-  let env = [ ("ua", a); ("ub", b) ] in
-  let q = Query.Parser.parse "ua UNION ub" in
-  let strategy_ns strategy =
-    let batch () =
-      let ctx = Query.Physical.create_ctx () in
-      ignore (Query.Physical.eval_fast ~ctx ?strategy env q);
-      (* warm-up *)
-      let t0 = Unix.gettimeofday () in
-      let rec go n =
-        ignore (Query.Physical.eval_fast ~ctx ?strategy env q);
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < 0.05 && n < 1000 then go (n + 1)
-        else dt /. float_of_int n *. 1e9
-      in
-      go 1
-    in
-    List.fold_left
-      (fun acc _ -> Float.min acc (batch ()))
-      Float.max_float [ 1; 2; 3; 4; 5 ]
-  in
-  let inline_ns = strategy_ns None in
-  let sharded1_ns =
-    strategy_ns
-      (Some (Query.Physical.Sharded { Query.Physical.shards = 1; domains = 1 }))
-  in
-  let sharded4_ns =
-    strategy_ns
-      (Some (Query.Physical.Sharded { Query.Physical.shards = 4; domains = 1 }))
-  in
-  let ratio = sharded1_ns /. inline_ns in
-  let pass = ratio <= 1.05 in
-  print_endline "sharded-gate (union-1000, min of 5 batches):";
-  Printf.printf "  inline physical           %12.0f ns/run\n" inline_ns;
-  Printf.printf "  sharded shards=1          %12.0f ns/run\n" sharded1_ns;
-  Printf.printf "  sharded shards=4 (1 wkr)  %12.0f ns/run (info: %.3fx)\n"
-    sharded4_ns (sharded4_ns /. inline_ns);
-  Printf.printf "  sharded1/inline ratio     %.3f (gate: <= 1.05) %s\n%!"
-    ratio
-    (if pass then "OK" else "FAIL");
-  let oc = open_out "BENCH_sharded_gate.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"union-1000\",\n\
-    \  \"inline_ns\": %.0f,\n\
-    \  \"sharded1_ns\": %.0f,\n\
-    \  \"sharded4_ns\": %.0f,\n\
-    \  \"sharded1_over_inline\": %.4f,\n\
-    \  \"gate\": 1.05,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    inline_ns sharded1_ns sharded4_ns ratio pass;
-  close_out oc;
-  print_endline "  wrote BENCH_sharded_gate.json\n";
-  if not pass then begin
-    print_endline
-      "  SHARDED GATE FAILED - single-shard strategy regressed > 5% over \
-       the inline executor";
-    exit 1
-  end
+  write_json "BENCH_join.json" [ ("join_scaling", L rows); ("spans", spans) ]
 
 (* ------------------------------------------------------------------ *)
 (* Incremental absorption vs full rebuild                              *)
@@ -846,390 +699,52 @@ let sharded_gate () =
 let incremental_sweep () =
   let schema = Workload.Gen.schema "inc" in
   print_endline "incremental absorption vs full rebuild:";
-  let points = ref [] in
-  List.iter
-    (fun n ->
-      let base =
-        Workload.Gen.relation (Workload.Rng.create 42) ~size:n schema
-      in
-      List.iter
-        (fun frac ->
-          let k = max 1 (int_of_float (float_of_int n *. frac)) in
-          let changed =
-            Erm.Relation.of_tuples schema
-              (List.filteri (fun i _ -> i < k) (Erm.Relation.tuples base))
-          in
-          let delta =
-            Workload.Gen.reobserve (Workload.Rng.create (n + k)) changed
-          in
-          let src =
-            { Integration.Multi.source_name = "d"; source_relation = delta }
-          in
-          let time f =
-            let reps = if n <= 10_000 then 5 else 1 in
-            let best = ref Float.max_float in
-            for _ = 1 to 3 do
-              let t0 = Unix.gettimeofday () in
-              for _ = 1 to reps do
-                f ()
-              done;
-              best :=
-                Float.min !best
-                  ((Unix.gettimeofday () -. t0) /. float_of_int reps)
-            done;
-            !best *. 1e9
-          in
-          let full_ns =
-            time (fun () ->
-                ignore
-                  (Integration.Multi.integrate
-                     [ { Integration.Multi.source_name = "m";
-                         source_relation = base };
-                       src ]))
-          in
-          let delta_ns =
-            time (fun () ->
-                ignore (Integration.Multi.absorb_delta ~into:base src))
-          in
-          Printf.printf
-            "  n=%-8d changed=%-7d full %12.0f ns  delta %12.0f ns  \
-             speedup %6.1fx\n\
-             %!"
-            n k full_ns delta_ns (full_ns /. delta_ns);
-          points := (n, k, full_ns, delta_ns) :: !points)
-        [ 0.01; 0.1; 0.5 ])
-    [ 10_000; 100_000; 1_000_000 ];
-  let oc = open_out "BENCH_incremental.json" in
-  Printf.fprintf oc "{\n  \"workload\": \"delta-vs-full\",\n  \"points\": [\n";
-  let rows = List.rev !points in
-  List.iteri
-    (fun i (n, k, full_ns, delta_ns) ->
-      Printf.fprintf oc
-        "    { \"n\": %d, \"changed\": %d, \"full_ns\": %.0f, \
-         \"delta_ns\": %.0f, \"speedup\": %.1f }%s\n"
-        n k full_ns delta_ns (full_ns /. delta_ns)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  print_endline "  wrote BENCH_incremental.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Store recovery overhead gate                                        *)
-
-(* Opening a clean store always replays every committed record; with
-   verification on it additionally CRC-checks each record and re-checks
-   each upsert's key digest. The gate bounds what that integrity
-   checking may cost on the clean-store fast path: verified open within
-   5% of unverified open (min of 5 each, warm cache). Results go to
-   BENCH_store_gate.json; a breach exits non-zero so CI fails. *)
-let store_gate () =
-  let schema = Workload.Gen.schema "gate" in
-  let r = Workload.Gen.relation (Workload.Rng.create 11) ~size:10_000 schema in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "eridb_bench_store_%d" (Unix.getpid ()))
+  let points =
+    List.concat_map
+      (fun n ->
+        let base =
+          Workload.Gen.relation (Workload.Rng.create 42) ~size:n schema
+        in
+        List.map
+          (fun frac ->
+            let k = max 1 (int_of_float (float_of_int n *. frac)) in
+            let changed =
+              Erm.Relation.of_tuples schema
+                (List.filteri (fun i _ -> i < k) (Erm.Relation.tuples base))
+            in
+            let delta =
+              Workload.Gen.reobserve (Workload.Rng.create (n + k)) changed
+            in
+            let src =
+              { Integration.Multi.source_name = "d"; source_relation = delta }
+            in
+            let full_ns =
+              ns_per_run (fun () ->
+                  Integration.Multi.integrate
+                    [ { Integration.Multi.source_name = "m";
+                        source_relation = base };
+                      src ])
+            in
+            let delta_ns =
+              ns_per_run (fun () ->
+                  Integration.Multi.absorb_delta ~into:base src)
+            in
+            Printf.printf
+              "  n=%-8d changed=%-7d full %12.0f ns  delta %12.0f ns  \
+               speedup %6.1fx\n\
+               %!"
+              n k full_ns delta_ns (full_ns /. delta_ns);
+            O
+              [ ("n", int n);
+                ("changed", int k);
+                ("full_ns", fixed 0 full_ns);
+                ("delta_ns", fixed 0 delta_ns);
+                ("speedup", fixed 1 (full_ns /. delta_ns)) ])
+          [ 0.01; 0.1; 0.5 ])
+      [ 10_000; 100_000; 1_000_000 ]
   in
-  ignore (Store.Estore.create ~dir ~name:"gate" r);
-  let time_open ~verify =
-    ignore (Store.Estore.open_store ~verify dir);
-    (* warm-up *)
-    List.fold_left
-      (fun acc _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Store.Estore.open_store ~verify dir);
-        Float.min acc ((Unix.gettimeofday () -. t0) *. 1e9))
-      Float.max_float [ 1; 2; 3; 4; 5 ]
-  in
-  let unverified_ns = time_open ~verify:false in
-  let verified_ns = time_open ~verify:true in
-  let ratio = verified_ns /. unverified_ns in
-  let pass = ratio <= 1.05 in
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  Sys.rmdir dir;
-  print_endline "store-gate (open 10k-tuple store, min of 5):";
-  Printf.printf "  unverified open           %12.0f ns/run\n" unverified_ns;
-  Printf.printf "  verified open             %12.0f ns/run\n" verified_ns;
-  Printf.printf "  verified/unverified       %.3f (gate: <= 1.05) %s\n%!"
-    ratio
-    (if pass then "OK" else "FAIL");
-  let oc = open_out "BENCH_store_gate.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"open-10k\",\n\
-    \  \"unverified_ns\": %.0f,\n\
-    \  \"verified_ns\": %.0f,\n\
-    \  \"verified_over_unverified\": %.4f,\n\
-    \  \"gate\": 1.05,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    unverified_ns verified_ns ratio pass;
-  close_out oc;
-  print_endline "  wrote BENCH_store_gate.json\n";
-  if not pass then begin
-    print_endline
-      "  STORE GATE FAILED - verified clean-store recovery regressed > 5% \
-       over unverified open";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Whole-store sweep gate                                              *)
-
-(* The S-check sweep is a batch job, but it must stay a *feasible*
-   batch job: the gate builds a 100k-tuple store, runs the full
-   catalog sweep under the metrics registry, and fails unless the
-   sweep completes and every analysis.sweep.* counter is populated
-   with the expected workload shape (1 run x |checks| checks x 100k
-   tuples). Results go to BENCH_sweep_gate.json. *)
-let sweep_gate () =
-  let size = 100_000 in
-  let schema = Workload.Gen.schema "gate" in
-  let r = Workload.Gen.relation (Workload.Rng.create 17) ~size schema in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "eridb_bench_sweep_%d" (Unix.getpid ()))
-  in
-  ignore (Store.Estore.create ~dir ~name:"gate" r);
-  let store, _report = Store.Estore.open_store dir in
-  let env = [ ("gate", r) ] in
-  Obs.Metrics.enable ();
-  Obs.Metrics.reset ();
-  let t0 = Unix.gettimeofday () in
-  let diags = Analysis.Sweep.run (Analysis.Sweep.subject ~store env) in
-  let sweep_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  let counter name = Obs.Metrics.counter ("analysis.sweep." ^ name) in
-  let runs = counter "runs"
-  and checks = counter "checks"
-  and relations = counter "relations"
-  and tuples = counter "tuples"
-  and findings = counter "findings" in
-  Obs.Metrics.disable ();
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  Sys.rmdir dir;
-  let n_checks = List.length Analysis.Sweep.checks in
-  let pass =
-    runs = 1 && checks = n_checks && relations = 1 && tuples = size
-    && findings = List.length diags
-  in
-  Printf.printf "sweep-gate (S-check sweep over a %dk-tuple store):\n"
-    (size / 1000);
-  Printf.printf "  sweep                     %12.0f ns  (%.1f ktuple/s)\n"
-    sweep_ns
-    (float_of_int size /. sweep_ns *. 1e6);
-  Printf.printf
-    "  metrics: runs=%d checks=%d relations=%d tuples=%d findings=%d %s\n%!"
-    runs checks relations tuples findings
-    (if pass then "OK" else "FAIL");
-  let oc = open_out "BENCH_sweep_gate.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"sweep-100k\",\n\
-    \  \"sweep_ns\": %.0f,\n\
-    \  \"tuples\": %d,\n\
-    \  \"checks\": %d,\n\
-    \  \"findings\": %d,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    sweep_ns tuples checks findings pass;
-  close_out oc;
-  print_endline "  wrote BENCH_sweep_gate.json\n";
-  if not pass then begin
-    print_endline
-      "  SWEEP GATE FAILED - analysis.sweep.* metrics did not reflect the \
-       workload";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Observability overhead gate                                         *)
-
-(* Telemetry must be strictly pay-for-use: after a fully-instrumented
-   run (metrics + tracing + flight recorder over the 4-shard/4-worker
-   engine), turning everything off again has to leave the hot paths at
-   their never-observed cost — the guards are one boolean load each.
-   Gate: the median disabled/baseline ratio of interleaved rounds
-   ([alternating_legs]) within 5%. The enabled leg also
-   proves the clamp is gone: with metrics recording, domains = 4 must
-   still run 4 workers (the exec.workers gauge says what the pool
-   actually did). Results go to BENCH_obs.json; a breach exits non-zero
-   so CI fails. *)
-let obs_gate () =
-  let a, b = baseline_pair in
-  let env = [ ("ua", a); ("ub", b) ] in
-  let q = Query.Parser.parse "ua UNION ub" in
-  let strategy =
-    Some (Query.Physical.Sharded { Query.Physical.shards = 4; domains = 4 })
-  in
-  let workload ctx () = ignore (Query.Physical.eval_fast ~ctx ?strategy env q) in
-  let leg () =
-    Gc.full_major ();
-    let ctx = Query.Physical.create_ctx () in
-    (* A parallel run is tens of milliseconds with real scheduler
-       jitter, so batches are long (several runs each). *)
-    let batch () =
-      workload ctx ();
-      (* warm-up *)
-      let t0 = Unix.gettimeofday () in
-      let rec go n =
-        workload ctx ();
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < 0.3 && n < 1000 then go (n + 1) else dt /. float_of_int n *. 1e9
-      in
-      go 1
-    in
-    Float.min (batch ()) (Float.min (batch ()) (batch ()))
-  in
-  Obs.Metrics.disable ();
-  Obs.Metrics.reset ();
-  (* What the last enabled leg saw, read before everything is reset. *)
-  let workers = ref 0 and events = ref 0 in
-  let enabled () =
-    Obs.Metrics.enable ();
-    Obs.Metrics.reset ();
-    Obs.Trace.set_clock Obs.Trace.default (Obs.Clock.simulated ());
-    Obs.Trace.enable Obs.Trace.default;
-    Obs.Log.set_clock (Obs.Clock.simulated ());
-    Obs.Log.enable ();
-    let ns = leg () in
-    workers :=
-      (match Obs.Metrics.last "exec.workers" with
-      | Some w -> int_of_float w
-      | None -> 0);
-    events := List.length (Obs.Log.events ());
-    Obs.Metrics.disable ();
-    Obs.Metrics.reset ();
-    Obs.Trace.disable Obs.Trace.default;
-    Obs.Trace.clear Obs.Trace.default;
-    Obs.Log.disable ();
-    Obs.Log.clear ();
-    ns
-  in
-  let r = alternating_legs ~baseline:leg ~enabled ~disabled:leg in
-  let workers = !workers and events = !events in
-  let ratio = r.disabled_over_baseline in
-  let workers_ok = workers = 4 in
-  let pass = ratio <= 1.05 && workers_ok in
-  Printf.printf
-    "obs-gate (sharded union-1000, shards=4 domains=4, median of %d \
-     alternating rounds):\n"
-    r.rounds;
-  Printf.printf "  baseline (never observed) %12.0f ns/run\n" r.baseline_ns;
-  Printf.printf "  enabled  (m+t+log)        %12.0f ns/run (%d events)\n"
-    r.enabled_ns events;
-  Printf.printf "  disabled (after reset)    %12.0f ns/run\n" r.disabled_ns;
-  Printf.printf "  workers with metrics on   %d (gate: = 4) %s\n" workers
-    (if workers_ok then "OK" else "FAIL");
-  Printf.printf "  disabled/baseline ratio   %.3f (gate: <= 1.05) %s\n%!"
-    ratio
-    (if ratio <= 1.05 then "OK" else "FAIL");
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"sharded-union-1000\",\n\
-    \  \"shards\": 4,\n\
-    \  \"domains\": 4,\n\
-    \  \"rounds\": %d,\n\
-    \  \"baseline_ns\": %.0f,\n\
-    \  \"enabled_ns\": %.0f,\n\
-    \  \"disabled_ns\": %.0f,\n\
-    \  \"workers_with_metrics\": %d,\n\
-    \  \"flight_events\": %d,\n\
-    \  \"disabled_over_baseline\": %.4f,\n\
-    \  \"gate\": 1.05,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    r.rounds r.baseline_ns r.enabled_ns r.disabled_ns workers events ratio
-    pass;
-  close_out oc;
-  print_endline "  wrote BENCH_obs.json\n";
-  if not pass then begin
-    if not workers_ok then
-      print_endline
-        "  OBS GATE FAILED - metrics recording did not run 4 workers at \
-         domains=4";
-    if ratio > 1.05 then
-      print_endline
-        "  OBS GATE FAILED - disabled observability regressed > 5% over the \
-         never-observed baseline";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Combination-rule policy-seam gate                                   *)
-
-(* Every merge path now routes combinations through the κ-escalation
-   seam (Mass.F.combine_policy) instead of calling the raw Dempster
-   kernel directly. The gate times both over the same evidence pool and
-   bounds what the default dempster-no-escalation policy may cost: the
-   policy check is two field reads, so the seam must stay within 5% of
-   the raw kernel. Results go to BENCH_rules_gate.json; a breach exits
-   non-zero so CI fails. *)
-let rules_gate () =
-  let dom = Workload.Gen.domain ~size:8 "rulesgate" in
-  let pairs =
-    Array.init 200 (fun i ->
-        let prng = Workload.Rng.create (1000 + i) in
-        ( Workload.Gen.evidence prng ~omega_floor:0.05 dom,
-          Workload.Gen.evidence prng ~omega_floor:0.05 dom ))
-  in
-  let raw () =
-    Array.iter (fun (a, b) -> ignore (Dst.Mass.F.combine_opt a b)) pairs
-  in
-  let seam () =
-    Array.iter
-      (fun (a, b) ->
-        ignore
-          (Dst.Mass.F.combine_policy ~policy:Dst.Rule.dempster a b))
-      pairs
-  in
-  let batch workload =
-    workload ();
-    (* warm-up *)
-    let t0 = Unix.gettimeofday () in
-    let rec go n =
-      workload ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < 0.05 && n < 1000 then go (n + 1) else dt /. float_of_int n *. 1e9
-    in
-    go 1
-  in
-  let time_leg workload =
-    List.fold_left
-      (fun acc _ -> Float.min acc (batch workload))
-      Float.max_float [ 1; 2; 3; 4; 5 ]
-  in
-  let raw_ns = time_leg raw in
-  let seam_ns = time_leg seam in
-  let ratio = seam_ns /. raw_ns in
-  let pass = ratio <= 1.05 in
-  print_endline "rules-gate (combine-200, min of 5 batches):";
-  Printf.printf "  raw dempster kernel       %12.0f ns/run\n" raw_ns;
-  Printf.printf "  policy seam (default)     %12.0f ns/run\n" seam_ns;
-  Printf.printf "  seam/raw ratio            %.3f (gate: <= 1.05) %s\n%!"
-    ratio
-    (if pass then "OK" else "FAIL");
-  let oc = open_out "BENCH_rules_gate.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"combine-200\",\n\
-    \  \"raw_ns\": %.0f,\n\
-    \  \"seam_ns\": %.0f,\n\
-    \  \"seam_over_raw\": %.4f,\n\
-    \  \"gate\": 1.05,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    raw_ns seam_ns ratio pass;
-  close_out oc;
-  print_endline "  wrote BENCH_rules_gate.json\n";
-  if not pass then begin
-    print_endline "  RULES GATE FAILED - policy seam regressed dempster > 5%";
-    exit 1
-  end
+  write_json "BENCH_incremental.json"
+    [ ("workload", S "delta-vs-full"); ("points", L points) ]
 
 (* ------------------------------------------------------------------ *)
 (* Rule quality sweep over the adversarial scenario corpus             *)
@@ -1313,42 +828,397 @@ let rules_quality_sweep () =
   let rule_rows =
     List.map
       (fun (name, policy) ->
-        let cells =
+        Printf.printf "  %-26s" name;
+        let kinds =
           List.map
             (fun kind ->
               let loss, gap, quarantined = score policy kind in
-              (kind, loss, gap, quarantined))
+              Printf.printf "  %5.2f / %6.4f" loss gap;
+              O
+                [ ("kind", S (Workload.Scenario.kind_name kind));
+                  ("entity_loss", fixed 4 loss);
+                  ("support_gap", fixed 6 gap);
+                  ("quarantined", int quarantined) ])
             Workload.Scenario.all_kinds
         in
-        Printf.printf "  %-26s" name;
-        List.iter
-          (fun (_, loss, gap, _) -> Printf.printf "  %5.2f / %6.4f" loss gap)
-          cells;
         print_newline ();
-        (name, cells))
+        O [ ("rule", S name); ("kinds", L kinds) ])
       policies
   in
   print_newline ();
-  let oc = open_out "BENCH_rules.json" in
-  Printf.fprintf oc "{\n  \"rows_per_kind\": %d,\n  \"rules\": [\n" rows;
-  List.iteri
-    (fun i (name, cells) ->
-      Printf.fprintf oc "    { \"rule\": \"%s\", \"kinds\": [\n" name;
-      List.iteri
-        (fun j (kind, loss, gap, quarantined) ->
-          Printf.fprintf oc
-            "      { \"kind\": \"%s\", \"entity_loss\": %.4f, \
-             \"support_gap\": %.6f, \"quarantined\": %d }%s\n"
-            (Workload.Scenario.kind_name kind)
-            loss gap quarantined
-            (if j = List.length cells - 1 then "" else ","))
-        cells;
-      Printf.fprintf oc "    ] }%s\n"
-        (if i = List.length rule_rows - 1 then "" else ","))
-    rule_rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  print_endline "  wrote BENCH_rules.json\n"
+  write_json "BENCH_rules.json"
+    [ ("rows_per_kind", int rows); ("rules", L rule_rows) ]
+
+(* ------------------------------------------------------------------ *)
+(* Gates                                                               *)
+
+(* What a gate's [measure] reports: its timed legs (none for an untimed
+   gate), extra checks (description, pass) and extra report fields. *)
+type measured = {
+  timings : timings;
+  checks : (string * bool) list;
+  fields : (string * json) list;
+}
+
+type gate = {
+  name : string;  (** run alone by [--NAME-gate] *)
+  file : string;
+  workload : string;
+  gated : (string * string * float) option;
+      (** numerator leg, denominator leg and bound: the median
+          per-round ratio must stay within the bound *)
+  info : (string * string) list;  (** ratios reported, not gated *)
+  measure : unit -> measured;
+}
+
+(* A fresh store of [r] in a temp directory, removed however [f] exits. *)
+let with_store tag r f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "eridb_bench_%s_%d" tag (Unix.getpid ()))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () ->
+      ignore (Store.Estore.create ~dir ~name:"gate" r);
+      f dir)
+
+(* Prints the gate, writes its BENCH_*.json and names each failed
+   check; returns whether the gate passed. *)
+let run_gate g =
+  let m = g.measure () in
+  let t = m.timings in
+  let columns =
+    List.mapi (fun i n -> (n, List.map (fun r -> r.(i)) t.per_round)) t.names
+  in
+  let column leg = List.assoc leg columns in
+  let ratio (num, den) =
+    median (List.map2 ( /. ) (column num) (column den))
+  in
+  let gate_checks, gate_fields =
+    match g.gated with
+    | Some (num, den, bound) ->
+        let r = ratio (num, den) in
+        ( [ ( Printf.sprintf "%s/%s ratio %.3f (gate: <= %.2f)" num den r
+                bound,
+              r <= bound ) ],
+          [ (num ^ "_over_" ^ den, fixed 4 r); ("gate", fixed 2 bound) ] )
+    | None -> ([], [])
+  in
+  let info = List.map (fun (num, den) -> (num, den, ratio (num, den))) g.info in
+  let checks = gate_checks @ m.checks in
+  let pass = List.for_all snd checks in
+  let rounds = List.length t.per_round in
+  Printf.printf "%s-gate (%s%s):\n" g.name g.workload
+    (if rounds = 0 then ""
+     else Printf.sprintf ", median of %d interleaved rounds" rounds);
+  let leg_ns = List.map (fun (n, ns) -> (n, median ns)) columns in
+  List.iter
+    (fun (n, ns) -> Printf.printf "  %-28s %12.0f ns/run\n" n ns)
+    leg_ns;
+  List.iter
+    (fun (k, v) -> Printf.printf "  %-28s %s\n" k (json_to_string "" v))
+    m.fields;
+  List.iter
+    (fun (num, den, r) ->
+      Printf.printf "  %s/%s ratio %.3f (information, no gate)\n" num den r)
+    info;
+  List.iter
+    (fun (what, ok) ->
+      Printf.printf "  %s %s\n" what (if ok then "OK" else "FAIL"))
+    checks;
+  write_json g.file
+    ([ ("workload", S g.workload) ]
+    @ (if rounds = 0 then [] else [ ("rounds", int rounds) ])
+    @ List.map (fun (n, ns) -> (n ^ "_ns", fixed 0 ns)) leg_ns
+    @ gate_fields
+    @ List.map (fun (num, den, r) -> (num ^ "_over_" ^ den, fixed 4 r)) info
+    @ m.fields
+    @ [ ("pass", B pass) ]);
+  List.iter
+    (fun (what, ok) ->
+      if not ok then
+        Printf.printf "  %s GATE FAILED - %s\n%!"
+          (String.uppercase_ascii g.name)
+          what)
+    checks;
+  pass
+
+(* Provenance: three legs over the same Dempster-heavy workload
+   (extended union of the 1000-tuple source pair): baseline (provenance
+   off), enabled (every combination records lineage) and disabled (off
+   again right after an enabled leg, arena reset). Flipping recording
+   on and off may not leave residual cost in the hot paths. *)
+let provenance_gate =
+  { name = "provenance";
+    file = "BENCH_provenance.json";
+    workload = "union-1000";
+    gated = Some ("disabled", "baseline", 1.05);
+    info = [ ("enabled", "disabled") ];
+    measure =
+      (fun () ->
+        let a, b = baseline_pair in
+        let workload () = Erm.Ops.union a b in
+        let off () =
+          Obs.Provenance.disable ();
+          Obs.Provenance.reset ()
+        in
+        (* Nodes one run records into a fresh arena. *)
+        Obs.Provenance.reset ();
+        Obs.Provenance.enable ();
+        ignore (workload ());
+        let nodes = Obs.Provenance.count () in
+        off ();
+        let off_leg = leg workload in
+        let enabled () =
+          Obs.Provenance.enable ();
+          let ns = off_leg () in
+          off ();
+          ns
+        in
+        { timings =
+            alternating_legs
+              ("baseline", off_leg)
+              [ ("enabled", enabled); ("disabled", off_leg) ];
+          checks = [];
+          fields = [ ("enabled_nodes", int nodes) ] }) }
+
+(* Sharded engine: the Sharded strategy with shards = 1 must cost the
+   same as the plain physical executor — the engine stands aside
+   entirely below two shards, so routing everything through the
+   strategy seam has to be free. The 4-shard single-worker ratio is
+   information (partitioning + merge cost, paid back only when workers
+   parallelise). *)
+let sharded_gate =
+  { name = "sharded";
+    file = "BENCH_sharded_gate.json";
+    workload = "union-1000";
+    gated = Some ("sharded1", "inline", 1.05);
+    info = [ ("sharded4", "inline") ];
+    measure =
+      (fun () ->
+        let a, b = baseline_pair in
+        let env = [ ("ua", a); ("ub", b) ] in
+        let q = Query.Parser.parse "ua UNION ub" in
+        let strategy_leg strategy () =
+          let ctx = Query.Physical.create_ctx () in
+          leg (fun () -> Query.Physical.eval_fast ~ctx ~strategy env q) ()
+        in
+        let sharded shards =
+          strategy_leg (Query.Physical.Sharded { shards; domains = 1 })
+        in
+        { timings =
+            alternating_legs
+              ("inline", strategy_leg Query.Physical.Inline)
+              [ ("sharded1", sharded 1); ("sharded4", sharded 4) ];
+          checks = [];
+          fields = [] }) }
+
+(* Store: opening a clean store always replays every committed record;
+   with verification on it additionally CRC-checks each record and
+   re-checks each upsert's key digest. The gate bounds what that
+   integrity checking may cost on the clean-store fast path. Every leg
+   reopens the same files, so the page cache is warm; one open outlasts
+   a batch's budget, so each batch times a single open. *)
+let store_gate =
+  { name = "store";
+    file = "BENCH_store_gate.json";
+    workload = "open-10k";
+    gated = Some ("verified", "unverified", 1.05);
+    info = [];
+    measure =
+      (fun () ->
+        let r =
+          Workload.Gen.relation (Workload.Rng.create 11) ~size:10_000
+            (Workload.Gen.schema "gate")
+        in
+        with_store "store" r (fun dir ->
+            let open_leg verify =
+              leg (fun () -> Store.Estore.open_store ~verify dir)
+            in
+            { timings =
+                alternating_legs
+                  ("unverified", open_leg false)
+                  [ ("verified", open_leg true) ];
+              checks = [];
+              fields = [] })) }
+
+(* Sweep: the S-check sweep is a batch job, but it must stay a
+   *feasible* batch job: the gate builds a 100k-tuple store, runs the
+   full catalog sweep once under the metrics registry, and fails unless
+   the sweep completes and every analysis.sweep.* counter is populated
+   with the expected workload shape (1 run x |checks| checks x 100k
+   tuples). Untimed: the one sweep's wall time is reported only. *)
+let sweep_gate =
+  { name = "sweep";
+    file = "BENCH_sweep_gate.json";
+    workload = "sweep-100k";
+    gated = None;
+    info = [];
+    measure =
+      (fun () ->
+        let size = 100_000 in
+        let r =
+          Workload.Gen.relation (Workload.Rng.create 17) ~size
+            (Workload.Gen.schema "gate")
+        in
+        with_store "sweep" r (fun dir ->
+            let store, _report = Store.Estore.open_store dir in
+            Obs.Metrics.enable ();
+            Obs.Metrics.reset ();
+            let diags = ref [] in
+            let sweep_ns =
+              ns_per_run ~budget:0.0 (fun () ->
+                  diags :=
+                    Analysis.Sweep.run
+                      (Analysis.Sweep.subject ~store [ ("gate", r) ]))
+            in
+            let counter name = Obs.Metrics.counter ("analysis.sweep." ^ name) in
+            let runs = counter "runs"
+            and checks = counter "checks"
+            and relations = counter "relations"
+            and tuples = counter "tuples"
+            and findings = counter "findings" in
+            Obs.Metrics.disable ();
+            let n_checks = List.length Analysis.Sweep.checks
+            and n_findings = List.length !diags in
+            { timings = { names = []; per_round = [] };
+              checks =
+                [ ( Printf.sprintf
+                      "analysis.sweep.* runs=%d checks=%d relations=%d \
+                       tuples=%d findings=%d (want 1/%d/1/%d/%d)"
+                      runs checks relations tuples findings n_checks size
+                      n_findings,
+                    runs = 1 && checks = n_checks && relations = 1
+                    && tuples = size && findings = n_findings ) ];
+              fields =
+                [ ("sweep_ns", fixed 0 sweep_ns);
+                  ("tuples", int tuples);
+                  ("checks", int checks);
+                  ("findings", int findings) ] })) }
+
+(* Rules: every merge path routes combinations through the κ-escalation
+   seam (Mass.F.combine_policy) instead of calling the raw Dempster
+   kernel directly. Both run over the same evidence pool; the policy
+   check is two field reads, so the default dempster-no-escalation seam
+   must cost what the raw kernel costs. *)
+let rules_gate =
+  { name = "rules";
+    file = "BENCH_rules_gate.json";
+    workload = "combine-200";
+    gated = Some ("seam", "raw", 1.05);
+    info = [];
+    measure =
+      (fun () ->
+        let dom = Workload.Gen.domain ~size:8 "rulesgate" in
+        let pairs =
+          Array.init 200 (fun i ->
+              let prng = Workload.Rng.create (1000 + i) in
+              ( Workload.Gen.evidence prng ~omega_floor:0.05 dom,
+                Workload.Gen.evidence prng ~omega_floor:0.05 dom ))
+        in
+        let over combine () =
+          Array.iter (fun (a, b) -> ignore (combine a b)) pairs
+        in
+        { timings =
+            alternating_legs
+              ("raw", leg (over Dst.Mass.F.combine_opt))
+              [ ( "seam",
+                  leg
+                    (over (Dst.Mass.F.combine_policy ~policy:Dst.Rule.dempster))
+                ) ];
+          checks = [];
+          fields = [] }) }
+
+(* Observability: telemetry must be strictly pay-for-use. After a
+   fully-instrumented run (metrics + tracing + flight recorder over the
+   4-shard/4-worker engine), turning everything off again has to leave
+   the hot paths at their never-observed cost — the guards are one
+   boolean load each. The enabled leg also proves the clamp is gone:
+   with metrics recording, domains = 4 must still run 4 workers (the
+   exec.workers gauge says what the pool actually did). *)
+let obs_gate =
+  { name = "obs";
+    file = "BENCH_obs.json";
+    workload = "sharded-union-1000";
+    gated = Some ("disabled", "baseline", 1.05);
+    info = [];
+    measure =
+      (fun () ->
+        let a, b = baseline_pair in
+        let env = [ ("ua", a); ("ub", b) ] in
+        let q = Query.Parser.parse "ua UNION ub" in
+        let strategy = Query.Physical.Sharded { shards = 4; domains = 4 } in
+        (* A parallel run is tens of milliseconds with real scheduler
+           jitter, so batches are long (several runs each). *)
+        let off_leg () =
+          let ctx = Query.Physical.create_ctx () in
+          leg ~budget:0.3
+            (fun () -> Query.Physical.eval_fast ~ctx ~strategy env q)
+            ()
+        in
+        Obs.Metrics.disable ();
+        Obs.Metrics.reset ();
+        (* What the last enabled leg saw, read before everything is
+           reset. *)
+        let workers = ref 0 and events = ref 0 in
+        let enabled () =
+          Obs.Metrics.enable ();
+          Obs.Metrics.reset ();
+          Obs.Trace.set_clock Obs.Trace.default (Obs.Clock.simulated ());
+          Obs.Trace.enable Obs.Trace.default;
+          Obs.Log.set_clock (Obs.Clock.simulated ());
+          Obs.Log.enable ();
+          let ns = off_leg () in
+          workers :=
+            (match Obs.Metrics.last "exec.workers" with
+            | Some w -> int_of_float w
+            | None -> 0);
+          events := List.length (Obs.Log.events ());
+          Obs.Metrics.disable ();
+          Obs.Metrics.reset ();
+          Obs.Trace.disable Obs.Trace.default;
+          Obs.Trace.clear Obs.Trace.default;
+          Obs.Log.disable ();
+          Obs.Log.clear ();
+          ns
+        in
+        let timings =
+          alternating_legs
+            ("baseline", off_leg)
+            [ ("enabled", enabled); ("disabled", off_leg) ]
+        in
+        { timings;
+          checks =
+            [ ( Printf.sprintf "workers with metrics on = %d (gate: = 4)"
+                  !workers,
+                !workers = 4 ) ];
+          fields =
+            [ ("shards", int 4);
+              ("domains", int 4);
+              ("workers_with_metrics", int !workers);
+              ("flight_events", int !events) ] }) }
+
+let gates =
+  [ provenance_gate;
+    sharded_gate;
+    store_gate;
+    sweep_gate;
+    rules_gate;
+    obs_gate ]
+
+(* [None]: runs only as part of the full run. *)
+let sweeps =
+  [ (None, federation_fault_sweep);
+    (Some "--join-scaling", join_scaling);
+    (Some "--incremental", incremental_sweep);
+    (Some "--rules", rules_quality_sweep) ]
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                              *)
@@ -1375,73 +1245,49 @@ let run_group (group_name, tests) =
          | Some _ | None -> Printf.printf "  %-42s (no estimate)\n" name);
   print_newline ()
 
+(* One flag runs one gate or sweep alone (CI runs each gate this way);
+   no flag runs everything. Exits 1 when a gate failed, so CI fails. *)
 let () =
   Exec.Engine.install ();
-  if Array.exists (String.equal "--provenance-gate") Sys.argv then begin
-    (* CI mode: only the overhead gate, so the job stays fast. *)
-    provenance_gate ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--sharded-gate") Sys.argv then begin
-    (* CI mode: only the strategy-seam overhead gate. *)
-    sharded_gate ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--store-gate") Sys.argv then begin
-    (* CI mode: only the store recovery overhead gate. *)
-    store_gate ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--sweep-gate") Sys.argv then begin
-    (* CI mode: only the whole-store sweep feasibility gate. *)
-    sweep_gate ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--rules-gate") Sys.argv then begin
-    (* CI mode: only the combination-policy seam gate. *)
-    rules_gate ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--obs-gate") Sys.argv then begin
-    (* CI mode: only the observability overhead + worker-clamp gate. *)
-    obs_gate ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--rules") Sys.argv then begin
-    (* Just the rule quality sweep (regenerates BENCH_rules.json). *)
-    rules_quality_sweep ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--join-scaling") Sys.argv then begin
-    (* Just the join/kernel sweep (regenerates BENCH_join.json). *)
-    join_scaling ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--incremental") Sys.argv then begin
-    (* Just the delta-vs-full sweep (regenerates BENCH_incremental.json). *)
-    incremental_sweep ();
-    exit 0
-  end;
-  print_endline "verifying artifacts against the paper:";
-  verify ();
-  federation_fault_sweep ();
-  join_scaling ();
-  incremental_sweep ();
-  provenance_gate ();
-  sharded_gate ();
-  store_gate ();
-  rules_gate ();
-  obs_gate ();
-  rules_quality_sweep ();
-  List.iter run_group
-    [ ("paper-artifacts", artifact_tests);
-      ("combination-scaling", combine_sweep);
-      ("combination-rules", rules_sweep);
-      ("selection-scaling", select_sweep);
-      ("union-scaling", union_sweep);
-      ("product-join", join_tests);
-      ("baselines", baseline_tests);
-      ("query-processing", query_tests);
-      ("support-pairs", support_tests);
-      ("federated-strategies", federated_tests);
-      ("ablations", ablation_tests) ]
+  let sweep run () =
+    run ();
+    true
+  in
+  let modes =
+    List.filter_map
+      (fun (flag, run) -> Option.map (fun flag -> (flag, sweep run)) flag)
+      sweeps
+    @ List.map (fun g -> ("--" ^ g.name ^ "-gate", fun () -> run_gate g)) gates
+  in
+  let passed =
+    match
+      List.find_opt
+        (fun (flag, _) -> Array.exists (String.equal flag) Sys.argv)
+        modes
+    with
+    | Some (_, run) -> run ()
+    | None ->
+        print_endline "verifying artifacts against the paper:";
+        verify ();
+        (* Gates first, on the heap a lone gate run sees: the 10^6-tuple
+           sweeps leave gigabytes of heap behind. Every gate runs even
+           after one fails. *)
+        let passed =
+          List.fold_left (fun passed g -> run_gate g && passed) true gates
+        in
+        List.iter (fun (_, run) -> run ()) sweeps;
+        List.iter run_group
+          [ ("paper-artifacts", artifact_tests);
+            ("combination-scaling", combine_sweep);
+            ("combination-rules", rules_sweep);
+            ("selection-scaling", select_sweep);
+            ("union-scaling", union_sweep);
+            ("product-join", join_tests);
+            ("baselines", baseline_tests);
+            ("query-processing", query_tests);
+            ("support-pairs", support_tests);
+            ("federated-strategies", federated_tests);
+            ("ablations", ablation_tests) ];
+        passed
+  in
+  if not passed then exit 1

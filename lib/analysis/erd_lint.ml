@@ -281,12 +281,13 @@ let lint_string ?file input =
               K_broken
             end
             else
+              (* Split like the loader: on every ',', quoted or not. *)
               let values =
                 List.filter_map
-                  (fun (_, v) ->
+                  (fun v ->
                     let v = String.trim v in
                     if v = "" then None else Some v)
-                  (split_top (String.sub spec 1 (sn - 2)) ',')
+                  (String.split_on_char ',' (String.sub spec 1 (sn - 2)))
               in
               if values = [] then begin
                 error ~line ~col ~code:"E005" "empty evidence domain";
@@ -327,7 +328,7 @@ let lint_string ?file input =
 
   (* --- tuples --------------------------------------------------------- *)
   let lint_tuple ~line ~base_col block body =
-    let fields = split_top body '|' in
+    let fields = Erm.Io.split_fields body in
     let nkeys = List.length block.b_keys
     and nattrs = List.length block.b_attrs in
     let expected = nkeys + nattrs + 1 in

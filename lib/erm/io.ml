@@ -84,26 +84,29 @@ let parse_cell ?(col = 0) line attr raw =
       | Dst.Mass.F.Invalid_mass m ->
           fail ~col line "bad evidence for %s: %s" (Attr.name attr) m)
 
+let split_fields body =
+  let n = String.length body in
+  let pieces = ref [] and start = ref 0 in
+  String.iteri
+    (fun i c ->
+      if c = '|' then begin
+        pieces := (!start, String.sub body !start (i - !start)) :: !pieces;
+        start := i + 1
+      end)
+    body;
+  pieces := (!start, String.sub body !start (n - !start)) :: !pieces;
+  List.rev !pieces
+
 (* [base_col] is the 1-based column of [body]'s first character, so each
    field's own column can be derived from the positions of the '|'
    separators. *)
 let parse_tuple ?(base_col = 0) line schema body =
   let fields =
-    let n = String.length body in
-    let pieces = ref [] and start = ref 0 in
-    String.iteri
-      (fun i c ->
-        if c = '|' then begin
-          pieces := (!start, String.sub body !start (i - !start)) :: !pieces;
-          start := i + 1
-        end)
-      body;
-    pieces := (!start, String.sub body !start (n - !start)) :: !pieces;
-    List.rev_map
+    List.map
       (fun (off, f) ->
         let col = if base_col = 0 then 0 else base_col + off + lead f in
         (col, String.trim f))
-      !pieces
+      (split_fields body)
   in
   let expected = Schema.arity schema + 1 in
   if List.length fields <> expected then

@@ -56,6 +56,12 @@ val tuple_of_string : Schema.t -> string -> Etuple.t
 (** Inverse of {!tuple_to_string} under the same schema.
     @raise Io_error on malformed input. *)
 
+val split_fields : string -> (int * string) list
+(** The fields of one tuple row body, split on every [|] (quotes do not
+    protect it: [|] is reserved in cell syntax), each untrimmed with the
+    offset of its first character. The loader and [eridb-lint] both
+    split rows with it, so they agree on a row's fields. *)
+
 val load : string -> Relation.t list
 (** Reads a [.erd] file.
     @raise Sys_error on IO failures (message includes the path);

@@ -5,30 +5,6 @@ let fail fmt = Format.kasprintf (fun s -> raise (Query.Eval.Eval_error s)) fmt
 let now_ns () =
   (Obs.Trace.clock Obs.Trace.default).Obs.Clock.now_ms () *. 1e6
 
-(* --- per-shard pieces the inline executor keeps private ------------- *)
-
-let rel_of env name =
-  match List.assoc_opt name env with
-  | Some r -> r
-  | None -> fail "unknown relation %s" name
-
-(* The Select arm of Eval.eval, verbatim (same as Physical's private
-   copy): bind, select, project. *)
-let select_project input where threshold cols =
-  let schema = Erm.Relation.schema input in
-  let pred = Query.Eval.bind_pred (Erm.Schema.find_opt schema) where in
-  let selected = Erm.Ops.select ~threshold pred input in
-  match cols with
-  | None -> selected
-  | Some names -> (
-      try Erm.Ops.project names selected
-      with Erm.Schema.Schema_error m -> fail "projection: %s" m)
-
-let lookup_two sa sb a =
-  match Erm.Schema.find_opt sa a with
-  | Some attr -> Some attr
-  | None -> Erm.Schema.find_opt sb a
-
 (* --- canonical merge ------------------------------------------------ *)
 
 (* Fold the shards back together in ascending shard order; Relation.add
@@ -153,12 +129,13 @@ let execute_plan cfg env plan =
   let rec eval p =
     match p with
     | P.Scan { rel; access; residual; threshold; cols } -> (
-        let base = rel_of env rel in
+        let base = Query.Eval.relation env rel in
         match access with
         | P.Seq_scan ->
             sharded "scan"
               (fun () -> (cached_parts ~shards rel base).c_parts)
-              (fun i parts -> select_project parts.(i) residual threshold cols)
+              (fun i parts ->
+                Query.Eval.select_project parts.(i) residual threshold cols)
         | P.Index_eq { attr; value } ->
             (* A per-shard index probe is exact: the bucket union over
                shards is the whole-relation bucket, and the residual
@@ -172,18 +149,21 @@ let execute_plan cfg env plan =
                 (e.c_parts, cached_indexes e attr))
               (fun i (parts, idxs) ->
                 let bucket = Erm.Index.select_eq idxs.(i) parts.(i) value in
-                select_project bucket residual threshold cols))
+                Query.Eval.select_project bucket residual threshold cols))
     | P.Filter { input; where; threshold; cols } ->
         let child = eval input in
         sharded "filter"
           (fun () -> Shard.by_key ~shards child)
-          (fun i parts -> select_project parts.(i) where threshold cols)
+          (fun i parts ->
+            Query.Eval.select_project parts.(i) where threshold cols)
     | P.Hash_join { left; right; left_attr; right_attr; residual; threshold }
       ->
         let ra = eval left in
         let rb = eval right in
         let sa = Erm.Relation.schema ra and sb = Erm.Relation.schema rb in
-        let pred = Query.Eval.bind_pred (lookup_two sa sb) residual in
+        let pred =
+          Query.Eval.bind_pred (Query.Eval.lookup_of_schemas sa sb) residual
+        in
         sharded "hash-join"
           (fun () ->
             (* Partition both sides by the join value: equal values — the
@@ -199,7 +179,9 @@ let execute_plan cfg env plan =
         let ra = eval left in
         let rb = eval right in
         let sa = Erm.Relation.schema ra and sb = Erm.Relation.schema rb in
-        let pred = Query.Eval.bind_pred (lookup_two sa sb) on in
+        let pred =
+          Query.Eval.bind_pred (Query.Eval.lookup_of_schemas sa sb) on
+        in
         sharded "loop-join"
           (fun () -> Shard.by_key ~shards ra)
           (fun i parts ->

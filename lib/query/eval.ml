@@ -54,12 +54,25 @@ let rec bind_pred lookup = function
   | Ast.Or (a, b) -> Erm.Predicate.Or (bind_pred lookup a, bind_pred lookup b)
   | Ast.Not a -> Erm.Predicate.Not (bind_pred lookup a)
 
-let lookup_of_schema schema a = Erm.Schema.find_opt schema a
-
 let lookup_of_schemas sa sb a =
   match Erm.Schema.find_opt sa a with
   | Some attr -> Some attr
   | None -> Erm.Schema.find_opt sb a
+
+let relation env name =
+  match List.assoc_opt name env with
+  | Some r -> r
+  | None -> fail "unknown relation %s" name
+
+let select_project input where threshold cols =
+  let schema = Erm.Relation.schema input in
+  let pred = bind_pred (Erm.Schema.find_opt schema) where in
+  let selected = Erm.Ops.select ~threshold pred input in
+  match cols with
+  | None -> selected
+  | Some names -> (
+      try Erm.Ops.project names selected
+      with Erm.Schema.Schema_error m -> fail "projection: %s" m)
 
 let op_name = function
   | Ast.Rel _ -> "rel"
@@ -78,20 +91,9 @@ let rec eval env q =
   else step env q
 
 and step env = function
-  | Ast.Rel name -> (
-      match List.assoc_opt name env with
-      | Some r -> r
-      | None -> fail "unknown relation %s" name)
-  | Ast.Select { cols; from; where; threshold } -> (
-      let input = eval env from in
-      let schema = Erm.Relation.schema input in
-      let pred = bind_pred (lookup_of_schema schema) where in
-      let selected = Erm.Ops.select ~threshold pred input in
-      match cols with
-      | None -> selected
-      | Some names -> (
-          try Erm.Ops.project names selected
-          with Erm.Schema.Schema_error m -> fail "projection: %s" m))
+  | Ast.Rel name -> relation env name
+  | Ast.Select { cols; from; where; threshold } ->
+      select_project (eval env from) where threshold cols
   | Ast.Union (a, b) -> (
       let ra = eval env a and rb = eval env b in
       try Erm.Ops.union ra rb

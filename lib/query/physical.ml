@@ -264,27 +264,6 @@ type report = {
    (ERIDB_CLOCK=virtual) makes per-operator wall times deterministic. *)
 let now_ns () = (Obs.Trace.clock Obs.Trace.default).Obs.Clock.now_ms () *. 1e6
 
-let rel_of env name =
-  match List.assoc_opt name env with
-  | Some r -> r
-  | None -> fail "unknown relation %s" name
-
-(* The Select arm of Eval.eval, verbatim: bind, select, project. *)
-let select_project input where threshold cols =
-  let schema = Erm.Relation.schema input in
-  let pred = Eval.bind_pred (Erm.Schema.find_opt schema) where in
-  let selected = Erm.Ops.select ~threshold pred input in
-  match cols with
-  | None -> selected
-  | Some names -> (
-      try Erm.Ops.project names selected
-      with Erm.Schema.Schema_error m -> fail "projection: %s" m)
-
-let lookup_two sa sb a =
-  match Erm.Schema.find_opt sa a with
-  | Some attr -> Some attr
-  | None -> Erm.Schema.find_opt sb a
-
 let execute_measured ?ctx env p =
   let ctx = match ctx with Some c -> c | None -> create_ctx () in
   let rec exec p =
@@ -306,11 +285,11 @@ let execute_measured ?ctx env p =
     in
     match p with
     | Scan { rel; access; residual; threshold; cols } -> (
-        let base = rel_of env rel in
+        let base = Eval.relation env rel in
         match access with
         | Seq_scan ->
             let t0 = now_ns () in
-            let out = select_project base residual threshold cols in
+            let out = Eval.select_project base residual threshold cols in
             stats.Stats.wall_ns <- now_ns () -. t0;
             stats.Stats.rows_in <- Erm.Relation.cardinal base;
             stats.Stats.pruned <-
@@ -325,7 +304,7 @@ let execute_measured ?ctx env p =
               (float_of_int candidates);
             if candidates > 0 then stats.Stats.index_hits <- 1
             else stats.Stats.index_misses <- 1;
-            let out = select_project bucket residual threshold cols in
+            let out = Eval.select_project bucket residual threshold cols in
             stats.Stats.wall_ns <- now_ns () -. t0;
             stats.Stats.rows_in <- candidates;
             stats.Stats.pruned <- candidates - Erm.Relation.cardinal out;
@@ -333,7 +312,7 @@ let execute_measured ?ctx env p =
     | Filter { input; where; threshold; cols } ->
         let child, crep = exec input in
         let t0 = now_ns () in
-        let out = select_project child where threshold cols in
+        let out = Eval.select_project child where threshold cols in
         stats.Stats.wall_ns <- now_ns () -. t0;
         stats.Stats.rows_in <- Erm.Relation.cardinal child;
         stats.Stats.pruned <- stats.Stats.rows_in - Erm.Relation.cardinal out;
@@ -342,7 +321,7 @@ let execute_measured ?ctx env p =
         let ra, arep = exec left in
         let rb, brep = exec right in
         let sa = Erm.Relation.schema ra and sb = Erm.Relation.schema rb in
-        let pred = Eval.bind_pred (lookup_two sa sb) residual in
+        let pred = Eval.bind_pred (Eval.lookup_of_schemas sa sb) residual in
         let matched = ref 0 and kept = ref 0 in
         let tally ~hit ~matched:m ~kept:k =
           if hit then stats.Stats.index_hits <- stats.Stats.index_hits + 1
@@ -366,7 +345,7 @@ let execute_measured ?ctx env p =
         let ra, arep = exec left in
         let rb, brep = exec right in
         let sa = Erm.Relation.schema ra and sb = Erm.Relation.schema rb in
-        let pred = Eval.bind_pred (lookup_two sa sb) on in
+        let pred = Eval.bind_pred (Eval.lookup_of_schemas sa sb) on in
         let t0 = now_ns () in
         let out =
           try Erm.Ops.join ~threshold pred ra rb

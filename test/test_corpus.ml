@@ -59,6 +59,41 @@ let check_erd_lint name =
   if not (List.exists Analysis.Diagnostic.is_error diags) then
     Alcotest.failf "%s: the loader rejects it but lint reports no error" name
 
+(* The loader and the linter agree in both directions on lines that
+   split differently under a quote-aware splitter: the loader accepts
+   exactly when lint reports no error. Each is data/restaurants.erd's
+   [m_a] with one quote deleted or added. *)
+let agreement_inputs =
+  let m_a ?(domain = "head-chef, manager, owner") row =
+    "relation m_a\nkey mname : string\nattr phone : string\n\
+     attr position : evidence {" ^ domain ^ "}\n" ^ row ^ "\n"
+  in
+  let row = {|tuple anand | "555-2222" | [owner^1] | (1, 1)|} in
+  [ ("m_a opening quote deleted",
+     m_a {|tuple anand | 555-2222" | [owner^1] | (1, 1)|});
+    ("m_a closing quote deleted",
+     m_a {|tuple anand | "555-2222 | [owner^1] | (1, 1)|});
+    ("m_a quote added to a domain value",
+     m_a ~domain:{|head-chef, manager", owner|} row);
+    ("m_a domain value quote unterminated",
+     m_a ~domain:{|head-chef, "manager, owner|} row) ]
+
+let check_agreement text () =
+  let accepted =
+    match Erm.Io.relations_of_string text with
+    | _ -> true
+    | exception Erm.Io.Io_error _ -> false
+  in
+  let lint_errors =
+    List.filter Analysis.Diagnostic.is_error
+      (Analysis.Erd_lint.lint_string text)
+  in
+  if accepted && lint_errors <> [] then
+    Alcotest.failf "the loader accepts it but lint reports %d error(s)"
+      (List.length lint_errors)
+  else if (not accepted) && lint_errors = [] then
+    Alcotest.fail "the loader rejects it but lint reports no error"
+
 (* --- .query corpus ---------------------------------------------------- *)
 
 let check_query name =
@@ -85,5 +120,10 @@ let () =
   Alcotest.run "corpus"
     [ ("erd string channel", List.map (t check_erd) erds);
       ("erd load channel", List.map (t check_erd_load) erds);
-      ("erd lint channel", List.map (t check_erd_lint) erds);
+      ( "erd lint channel",
+        List.map (t check_erd_lint) erds
+        @ List.map
+            (fun (name, text) ->
+              Alcotest.test_case name `Quick (check_agreement text))
+            agreement_inputs );
       ("query channel", List.map (t check_query) queries) ]
