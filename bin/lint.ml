@@ -6,8 +6,8 @@
      eridb-lint --list-checks
      eridb-lint --sweep STORE --delta feed.erd --min-priority Medium
 
-   Lints every named .erd file without loading it into the runtime
-   (Analysis.Erd_lint); with --queries, additionally loads the .erd
+   Lints every named .erd file with the loader's own pass, reporting
+   every rejection (Analysis.Erd_lint); with --queries, additionally loads the .erd
    files and runs the plan checker (Analysis.Check) over each
    non-comment line of the query file. With --sweep, opens a store (an
    Estore directory or a .erd catalog directory) and runs the
@@ -301,7 +301,8 @@ let cmd =
   let man =
     [ `S Manpage.s_description;
       `P
-        "Validates evidential relation files without loading them: mass \
+        "Validates evidential relation files with the loader's own pass, \
+         reporting every rejection rather than the first: mass \
          normalization, no mass on the empty set, values within declared \
          domains, key uniqueness, and CWA_ER admissibility ($(b,sn > 0)), \
          with file:line:col positions. With $(b,--queries) it also runs \

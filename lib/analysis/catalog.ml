@@ -106,11 +106,6 @@ let file_checks =
       ~priority:Checkdef.Low
       ~description:
         "Repeated focal elements whose masses the loader sums together.";
-    file_check ~code:"E099" ~name:"Loader_Rejection"
-      ~priority:Checkdef.Blocker
-      ~description:
-        "The strict loader rejects the file for a reason the linter does \
-         not model — always a bug worth reporting.";
   ]
 
 let query_checks =

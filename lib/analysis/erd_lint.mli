@@ -1,19 +1,21 @@
-(** The [.erd] relation linter: validates source files without loading
-    them into the runtime.
+(** The [.erd] relation linter: the loader's own pass, run with a
+    findings sink ({!Erm.Io.scan}).
 
-    Where {!Erm.Io.load} aborts at the first defect, the linter scans the
-    whole file and reports every finding as a positioned
-    {!Diagnostic.t} — mass functions that do not normalize within the
-    float tolerance (E009), mass on the empty set (E010), negative
-    masses (E011), focal values outside the declared domain (E012),
-    duplicate keys (E013), malformed or out-of-range membership pairs
-    (E014–E015), CWA_ER-inadmissible [sn ≤ 0] tuples (E016), plus the
-    structural defects (arity, declarations, keys, syntax; E001–E008).
-    Zero masses and duplicate focal members, which the runtime silently
-    folds away, are reported as warnings (E019–E020).
+    Where {!Erm.Io.load} raises at the first rejection, the linter
+    reports every one as a positioned {!Diagnostic.t}, with the E-code
+    of the rule it broke: structural defects (declarations, domains,
+    arity, definite values; E001 and E003–E007), evidence cells that do
+    not parse (E008), do not normalize within the float tolerance
+    (E009), give mass to ∅ (E010), carry a negative mass (E011) or leave
+    the declared domain (E012), duplicate keys (E013), malformed or
+    out-of-range membership pairs (E014–E015) and CWA_ER-inadmissible
+    [sn = 0] tuples (E016). Three findings the loader accepts are
+    warnings: a relation name declared twice (E002), and, computed from
+    the entries of each evidence cell as written, zero masses it drops
+    (E019) and repeated focal elements it sums (E020).
 
-    Guarantee (property-tested): a file the linter reports no errors for
-    loads through {!Erm.Io.relations_of_string} without raising. *)
+    The linter reports an error exactly when the loader rejects the
+    text: both are the same pass. *)
 
 val lint_string : ?file:string -> string -> Diagnostic.t list
 (** Lints [.erd] source text. [file] tags the diagnostics' positions. *)

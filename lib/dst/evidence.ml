@@ -2,6 +2,13 @@ type t = Mass.F.t
 
 exception Parse_error of string * string
 
+type error = Syntax of string | Invalid of Mass.F.violation
+
+(* The parser's own failure; [focals] returns it as [Error]. *)
+exception Reject of error
+
+let syntax msg = raise (Reject (Syntax msg))
+
 (* ------------------------------------------------------------------ *)
 (* Lexer for the paper's evidence-set notation.                        *)
 
@@ -39,8 +46,7 @@ let lex input =
             (* Quoted string literal: scan to the closing quote, honouring
                backslash escapes. *)
             let rec close j =
-              if j >= n then
-                raise (Parse_error (input, "unterminated string literal"))
+              if j >= n then syntax "unterminated string literal"
               else if input.[j] = '\\' then close (j + 2)
               else if input.[j] = '"' then j
               else close (j + 1)
@@ -62,58 +68,65 @@ let lex input =
 (* ------------------------------------------------------------------ *)
 (* Recursive-descent parser.                                           *)
 
-let parse_mass input tok =
-  match tok with
-  | Lit s -> (
-      match String.index_opt s '/' with
-      | Some k -> (
-          let a = String.sub s 0 k
-          and b = String.sub s (k + 1) (String.length s - k - 1) in
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some a, Some b when b <> 0 -> float_of_int a /. float_of_int b
-          | _ -> raise (Parse_error (input, "malformed fraction " ^ s)))
-      | None -> (
-          match float_of_string_opt s with
-          | Some f -> f
-          | None -> raise (Parse_error (input, "expected a mass, got " ^ s))))
-  | _ -> raise (Parse_error (input, "expected a mass value"))
-
-let of_string frame input =
-  let fail msg = raise (Parse_error (input, msg)) in
-  let toks = lex input in
+let focals frame input =
+  let literal s =
+    try Value.of_literal s with Invalid_argument m -> syntax m
+  in
+  let mass = function
+    | Lit s -> (
+        match Num.float_of_literal s with
+        | Some f -> f
+        | None -> syntax ("expected a mass, got " ^ s))
+    | _ -> syntax "expected a mass value"
+  in
   let parse_member toks =
     match toks with
     | Omega :: rest -> (Domain.values frame, rest)
-    | Lit s :: rest -> (Vset.singleton (Value.of_literal s), rest)
+    | Lit s :: rest -> (Vset.singleton (literal s), rest)
+    | Lbrace :: Rbrace :: Caret :: m :: _ ->
+        (* The notation's ∅: it can carry no mass, whatever is written. *)
+        raise (Reject (Invalid (Mass.F.Empty_focal (mass m))))
     | Lbrace :: rest ->
         let rec elems acc toks =
           match toks with
-          | Lit s :: Comma :: rest -> elems (Value.of_literal s :: acc) rest
-          | Lit s :: Rbrace :: rest ->
-              (Vset.of_list (Value.of_literal s :: acc), rest)
+          | Lit s :: Comma :: rest -> elems (literal s :: acc) rest
+          | Lit s :: Rbrace :: rest -> (Vset.of_list (literal s :: acc), rest)
           | Rbrace :: rest when acc <> [] -> (Vset.of_list acc, rest)
-          | _ -> fail "malformed set {…}"
+          | _ -> syntax "malformed set {…}"
         in
         elems [] rest
-    | _ -> fail "expected a focal element"
+    | _ -> syntax "expected a focal element"
   in
   let parse_focal toks =
     let set, rest = parse_member toks in
     match rest with
-    | Caret :: m :: rest -> ((set, parse_mass input m), rest)
-    | _ -> fail "expected ^mass after focal element"
+    | Caret :: m :: rest -> ((set, mass m), rest)
+    | _ -> syntax "expected ^mass after focal element"
   in
   let rec parse_focals acc toks =
     let focal, rest = parse_focal toks in
     match rest with
     | Semi :: rest -> parse_focals (focal :: acc) rest
     | Rbracket :: [] -> List.rev (focal :: acc)
-    | Rbracket :: _ -> fail "trailing input after ]"
-    | _ -> fail "expected ; or ]"
+    | Rbracket :: _ -> syntax "trailing input after ]"
+    | _ -> syntax "expected ; or ]"
   in
-  match toks with
-  | Lbracket :: rest -> Mass.F.make frame (parse_focals [] rest)
-  | _ -> fail "expected ["
+  match
+    match lex input with
+    | Lbracket :: rest -> parse_focals [] rest
+    | _ -> syntax "expected ["
+  with
+  | entries -> Ok entries
+  | exception Reject e -> Error e
+
+let error_message frame = function
+  | Syntax m -> m
+  | Invalid v -> Mass.F.violation_message frame v
+
+let of_string frame input =
+  match focals frame input with
+  | Ok entries -> Mass.F.make frame entries
+  | Error e -> raise (Parse_error (input, error_message frame e))
 
 let to_string = Mass.F.to_string
 let pp = Mass.F.pp

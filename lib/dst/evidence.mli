@@ -14,6 +14,19 @@ type t = Mass.F.t
 exception Parse_error of string * string
 (** [Parse_error (input, message)]. *)
 
+type error =
+  | Syntax of string  (** Not the notation below. *)
+  | Invalid of Mass.F.violation
+      (** Well-formed, but the entries break a mass-function axiom. *)
+
+val focals : Domain.t -> string -> ((Vset.t * float) list, error) result
+(** The focal entries of the notation below, as written: zero masses and
+    repeated members are kept. A member [{}] (∅) is rejected as
+    [Invalid (Empty_focal m)] whatever its mass [m]; {!Mass.F.validate}
+    checks the other axioms. *)
+
+val error_message : Domain.t -> error -> string
+
 val of_string : Domain.t -> string -> t
 (** Parses the paper notation. Grammar (whitespace-insensitive):
     {v
@@ -24,8 +37,9 @@ val of_string : Domain.t -> string -> t
                  | '{' literal (',' literal)* '}'
       mass     ::= float | int '/' int      (e.g. 0.25 or 1/3)
     v}
-    Masses must sum to 1 (within the float tolerance).
-    @raise Parse_error on syntax errors.
+    Masses must sum to 1 (within the float tolerance). Masses are read
+    with {!Num.float_of_literal}, as {!Support.of_string} reads its pair.
+    @raise Parse_error on syntax errors and on mass given to [{}].
     @raise Mass.F.Invalid_mass on semantic errors (bad masses, values
     outside the domain). *)
 

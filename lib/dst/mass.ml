@@ -12,6 +12,14 @@ module type S = sig
     | Quarantined of { kappa : num }
     | Conflicted
 
+  type violation =
+    | Negative of num * Vset.t
+    | Empty_focal of num
+    | Outside_frame of { focal : Vset.t; outside : Vset.t }
+    | Not_normalised of num
+
+  val validate : Domain.t -> (Vset.t * num) list -> (t, violation) result
+  val violation_message : Domain.t -> violation -> string
   val make : Domain.t -> (Vset.t * num) list -> t
   val make_normalized : Domain.t -> (Vset.t * num) list -> t
   val vacuous : Domain.t -> t
@@ -82,38 +90,63 @@ module Make (N : Num.S) : S with type num = N.t = struct
 
   let sum_masses m = Vmap.fold (fun _ x acc -> N.add x acc) m N.zero
 
+  type violation =
+    | Negative of num * Vset.t
+    | Empty_focal of num
+    | Outside_frame of { focal : Vset.t; outside : Vset.t }
+    | Not_normalised of num
+
+  (* Raised by [collect] and [build]; [validate], [make] and
+     [make_normalized] turn it into their own error channel, so the
+     success path allocates no result. *)
+  exception Violation of violation
+
+  let violation_message frame = function
+    | Negative (x, set) ->
+        Format.asprintf "negative mass %a on %a" N.pp x Vset.pp set
+    | Empty_focal x -> Format.asprintf "mass %a on the empty set" N.pp x
+    | Outside_frame { focal; _ } ->
+        Format.asprintf "focal element %a outside frame %s" Vset.pp focal
+          (Domain.name frame)
+    | Not_normalised total ->
+        Format.asprintf "masses sum to %a, not 1" N.pp total
+
+  let invalid frame v = raise (Invalid_mass (violation_message frame v))
+
   (* Shared validation: merge duplicates, drop zeros, check range. *)
   let collect frame entries =
     List.fold_left
       (fun acc (set, x) ->
-        if num_lt x N.zero then
-          raise
-            (Invalid_mass
-               (Format.asprintf "negative mass %a on %a" N.pp x Vset.pp set))
+        if num_lt x N.zero then raise (Violation (Negative (x, set)))
         else if is_zero x then acc
-        else if Vset.is_empty set then
-          raise (Invalid_mass "positive mass on the empty set")
+        else if Vset.is_empty set then raise (Violation (Empty_focal x))
         else if not (Domain.subset set frame) then
-          raise
-            (Invalid_mass
-               (Format.asprintf "focal element %a outside frame %s" Vset.pp
-                  set (Domain.name frame)))
+          let outside = Vset.filter (fun v -> not (Domain.mem v frame)) set in
+          raise (Violation (Outside_frame { focal = set; outside }))
         else
           Vmap.update set
             (function None -> Some x | Some y -> Some (N.add x y))
             acc)
       Vmap.empty entries
 
-  let make frame entries =
+  let build frame entries =
     let focals = collect frame entries in
     let total = sum_masses focals in
-    if not (N.equal total N.one) then
-      raise
-        (Invalid_mass (Format.asprintf "masses sum to %a, not 1" N.pp total))
+    if not (N.equal total N.one) then raise (Violation (Not_normalised total))
     else { frame; focals }
 
+  let validate frame entries =
+    match build frame entries with
+    | m -> Ok m
+    | exception Violation v -> Error v
+
+  let make frame entries =
+    try build frame entries with Violation v -> invalid frame v
+
   let make_normalized frame entries =
-    let focals = collect frame entries in
+    let focals =
+      try collect frame entries with Violation v -> invalid frame v
+    in
     let total = sum_masses focals in
     if not (num_gt total N.zero) then
       raise (Invalid_mass "cannot normalize: total mass is zero")

@@ -44,6 +44,23 @@ module type S = sig
             configured — the typed form of {!Total_conflict}. *)
   (** The typed result of a policy-driven combination. *)
 
+  type violation =
+    | Negative of num * Vset.t  (** A negative mass on that set. *)
+    | Empty_focal of num  (** Mass on ∅. *)
+    | Outside_frame of { focal : Vset.t; outside : Vset.t }
+        (** A focal element with values ([outside]) not in the frame. *)
+    | Not_normalised of num  (** The masses sum to this, not 1. *)
+  (** The mass-function axiom an entry list breaks, checked in this
+      order: per entry (negative, then ∅, then outside the frame), then
+      the sum. Zero-mass entries are dropped before the ∅ and frame
+      checks. *)
+
+  val validate : Domain.t -> (Vset.t * num) list -> (t, violation) result
+  (** [make] with the first violated axiom as a value. *)
+
+  val violation_message : Domain.t -> violation -> string
+  (** The message {!make} raises {!Invalid_mass} with. *)
+
   val make : Domain.t -> (Vset.t * num) list -> t
   (** [make frame focals] validates and builds a mass function. Zero-mass
       entries are dropped; duplicate focal elements are summed.

@@ -31,6 +31,19 @@ end
     bound than machine epsilon. *)
 let float_tolerance = 1e-9
 
+(** A mass or support literal: a float ([0.25]) or an integer fraction
+    ([1/3]). The evidence-set and support-pair parsers both read their
+    numbers with it, so they accept and reject the same literals. *)
+let float_of_literal s =
+  match String.index_opt s '/' with
+  | Some k -> (
+      let a = String.sub s 0 k
+      and b = String.sub s (k + 1) (String.length s - k - 1) in
+      match (int_of_string_opt a, int_of_string_opt b) with
+      | Some a, Some b when b <> 0 -> Some (float_of_int a /. float_of_int b)
+      | _ -> None)
+  | None -> float_of_string_opt s
+
 module Float : S with type t = float = struct
   type t = float
 

@@ -85,21 +85,10 @@ let of_string s =
   let malformed () =
     invalid_arg ("Support.of_string: malformed support pair " ^ s)
   in
-  (* Components are floats or exact fractions like 5/6 — the same numeric
-     literals the evidence-set parser accepts. *)
   let component c =
-    let c = String.trim c in
-    match String.index_opt c '/' with
-    | Some k -> (
-        let a = String.sub c 0 k
-        and b = String.sub c (k + 1) (String.length c - k - 1) in
-        match (int_of_string_opt a, int_of_string_opt b) with
-        | Some a, Some b when b <> 0 -> float_of_int a /. float_of_int b
-        | _ -> malformed ())
-    | None -> (
-        match float_of_string_opt c with
-        | Some f -> f
-        | None -> malformed ())
+    match Num.float_of_literal (String.trim c) with
+    | Some f -> f
+    | None -> malformed ()
   in
   let s' = String.trim s in
   let n = String.length s' in

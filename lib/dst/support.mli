@@ -86,4 +86,7 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val of_string : string -> t
-(** Parses ["(sn, sp)"]. @raise Invalid_argument on malformed input. *)
+(** Parses ["(sn, sp)"], each component read with
+    {!Num.float_of_literal} (a float or [a/b], as evidence masses).
+    @raise Invalid_argument on malformed input.
+    @raise Invalid_support when the pair is out of range. *)

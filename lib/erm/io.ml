@@ -1,7 +1,52 @@
 exception Io_error of { line : int; col : int; message : string }
 
-let fail ?(col = 0) line fmt =
-  Format.kasprintf (fun message -> raise (Io_error { line; col; message })) fmt
+type rule =
+  | Malformed_declaration
+  | Malformed_domain
+  | Bad_schema of Schema.violation
+  | Arity
+  | Bad_value of { attr : string; key : bool }
+  | Bad_evidence of Dst.Evidence.error
+  | Malformed_membership
+  | Membership_range of float * float
+  | Cwa_inadmissible of float * float
+  | Duplicate_key of { relation : string; key : Dst.Value.t list }
+
+type finding = { line : int; col : int; rule : rule; message : string }
+
+type event =
+  | Rejected of finding
+  | Relation_header of { line : int; col : int; name : string }
+  | Evidence_cell of {
+      line : int;
+      col : int;
+      focals : (Dst.Vset.t * float) list;
+    }
+
+(* The pass runs without a sink when loading: the first rejection raises
+   [Io_error]. With one, each rejection is emitted and counted, and
+   [Skip] resumes the pass at the next cell, row, declaration or line. *)
+type sink = { emit : event -> unit; mutable rejected : int }
+
+exception Skip
+
+let reject sink ?(col = 0) line rule fmt =
+  Format.kasprintf
+    (fun message ->
+      match sink with
+      | None -> raise (Io_error { line; col; message })
+      | Some s ->
+          s.rejected <- s.rejected + 1;
+          s.emit (Rejected { line; col; rule; message });
+          raise Skip)
+    fmt
+
+let rejected = function None -> 0 | Some s -> s.rejected
+
+let fail line fmt =
+  Format.kasprintf
+    (fun message -> raise (Io_error { line; col = 0; message }))
+    fmt
 
 (* Offset of the first character of [s] that is not a blank, or
    [String.length s] when all are. *)
@@ -19,22 +64,27 @@ let string_mentions haystack needle =
 
 (* "name : string" or "name : evidence {a, b, c}". [col] is the 1-based
    column of the declaration body in its source line. *)
-let parse_attr_decl ?(col = 0) line body =
+let parse_attr_decl sink ~col line body =
   match String.index_opt body ':' with
-  | None -> fail ~col line "expected `name : kind` in attribute declaration"
+  | None ->
+      reject sink ~col line Malformed_declaration
+        "expected `name : kind` in attribute declaration"
   | Some i ->
       let name = String.trim (String.sub body 0 i) in
       let kind_raw = String.sub body (i + 1) (String.length body - i - 1) in
       let kcol = if col = 0 then 0 else col + i + 1 + lead kind_raw in
       let kind = String.trim kind_raw in
-      if name = "" then fail ~col line "empty attribute name"
+      if name = "" then
+        reject sink ~col line Malformed_declaration "empty attribute name"
       else if String.length kind >= 8 && String.sub kind 0 8 = "evidence" then
         let spec = String.trim (String.sub kind 8 (String.length kind - 8)) in
         let inner =
           if String.length spec >= 2 && spec.[0] = '{'
              && spec.[String.length spec - 1] = '}'
           then String.sub spec 1 (String.length spec - 2)
-          else fail ~col:kcol line "expected evidence {v1, v2, …}"
+          else
+            reject sink ~col:kcol line Malformed_declaration
+              "expected evidence {v1, v2, …}"
         in
         let values =
           String.split_on_char ',' inner
@@ -42,47 +92,71 @@ let parse_attr_decl ?(col = 0) line body =
           |> List.filter (fun v -> v <> "")
           |> List.map (fun v ->
                  try Dst.Value.of_literal v
-                 with Invalid_argument m -> fail ~col:kcol line "%s" m)
+                 with Invalid_argument m ->
+                   reject sink ~col:kcol line Malformed_domain "%s" m)
         in
-        if values = [] then fail ~col:kcol line "empty evidence domain"
+        if values = [] then
+          reject sink ~col:kcol line Malformed_domain "empty evidence domain"
         else Attr.evidential name (Dst.Domain.of_values name values)
       else
         try Attr.definite name kind
         with Invalid_argument _ ->
-          fail ~col:kcol line "unknown attribute kind %s" kind
+          reject sink ~col line Malformed_domain "unknown attribute kind %s"
+            kind
 
-let parse_definite ?(col = 0) line kind raw =
-  let raw = String.trim raw in
+let bad_value sink ~col line ~key attr fmt =
+  reject sink ~col line (Bad_value { attr = Attr.name attr; key }) fmt
+
+let read_as sink ~col line ~key attr what conv make raw =
+  match conv raw with
+  | Some x -> make x
+  | None -> bad_value sink ~col line ~key attr "expected %s, got %s" what raw
+
+let parse_definite sink ~col line ~key attr kind raw =
   match kind with
   | "string" ->
       if String.length raw >= 2 && raw.[0] = '"' then
-        (try Dst.Value.of_literal raw
-         with Invalid_argument m -> fail ~col line "%s" m)
+        (try Dst.Value.of_literal raw with Invalid_argument m ->
+           bad_value sink ~col line ~key attr "%s" m)
       else Dst.Value.string raw
-  | "int" -> (
-      match int_of_string_opt raw with
-      | Some n -> Dst.Value.int n
-      | None -> fail ~col line "expected an int, got %s" raw)
-  | "float" -> (
-      match float_of_string_opt raw with
-      | Some f -> Dst.Value.float f
-      | None -> fail ~col line "expected a float, got %s" raw)
-  | "bool" -> (
-      match bool_of_string_opt raw with
-      | Some b -> Dst.Value.bool b
-      | None -> fail ~col line "expected a bool, got %s" raw)
-  | _ -> fail ~col line "unknown value kind %s" kind
+  | "int" ->
+      read_as sink ~col line ~key attr "an int" int_of_string_opt
+        Dst.Value.int raw
+  | "float" ->
+      read_as sink ~col line ~key attr "a float" float_of_string_opt
+        Dst.Value.float raw
+  | "bool" ->
+      read_as sink ~col line ~key attr "a bool" bool_of_string_opt
+        Dst.Value.bool raw
+  | _ -> bad_value sink ~col line ~key attr "unknown value kind %s" kind
 
-let parse_cell ?(col = 0) line attr raw =
+let bad_evidence sink ~col line attr frame e =
+  reject sink ~col line (Bad_evidence e) "bad evidence for %s: %s"
+    (Attr.name attr)
+    (Dst.Evidence.error_message frame e)
+
+let parse_cell sink ~col line attr raw =
   match Attr.kind attr with
-  | Attr.Definite kind -> Etuple.Definite (parse_definite ~col line kind raw)
-  | Attr.Evidential domain -> (
-      try Etuple.Evidence (Dst.Evidence.of_string domain (String.trim raw))
-      with
-      | Dst.Evidence.Parse_error (_, m) ->
-          fail ~col line "bad evidence for %s: %s" (Attr.name attr) m
-      | Dst.Mass.F.Invalid_mass m ->
-          fail ~col line "bad evidence for %s: %s" (Attr.name attr) m)
+  | Attr.Definite kind ->
+      Etuple.Definite (parse_definite sink ~col line ~key:false attr kind raw)
+  | Attr.Evidential frame -> (
+      match Dst.Evidence.focals frame raw with
+      | Error e -> bad_evidence sink ~col line attr frame e
+      | Ok focals -> (
+          (match sink with
+          | Some s -> s.emit (Evidence_cell { line; col; focals })
+          | None -> ());
+          match Dst.Mass.F.validate frame focals with
+          | Ok m -> Etuple.Evidence m
+          | Error v -> bad_evidence sink ~col line attr frame (Invalid v)))
+
+let parse_support sink ~col line raw =
+  try Dst.Support.of_string raw with
+  | Invalid_argument _ ->
+      reject sink ~col line Malformed_membership "bad membership pair %s" raw
+  | Dst.Support.Invalid_support (sn, sp) ->
+      reject sink ~col line (Membership_range (sn, sp))
+        "bad membership pair %s" raw
 
 let split_fields body =
   let n = String.length body in
@@ -97,68 +171,124 @@ let split_fields body =
   pieces := (!start, String.sub body !start (n - !start)) :: !pieces;
   List.rev !pieces
 
+(* Stand-ins for a rejected cell, so the rest of its row is still
+   checked; a row with a rejection is never built. *)
+let skipped_value = Dst.Value.bool false
+let skipped_cell = Etuple.Definite skipped_value
+
 (* [base_col] is the 1-based column of [body]'s first character, so each
    field's own column can be derived from the positions of the '|'
    separators. *)
-let parse_tuple ?(base_col = 0) line schema body =
+let parse_tuple sink ~base_col line schema body =
   let fields =
-    List.map
-      (fun (off, f) ->
-        let col = if base_col = 0 then 0 else base_col + off + lead f in
-        (col, String.trim f))
-      (split_fields body)
+    Array.of_list
+      (List.map
+         (fun (off, f) ->
+           let col = if base_col = 0 then 0 else base_col + off + lead f in
+           (col, String.trim f))
+         (split_fields body))
   in
   let expected = Schema.arity schema + 1 in
-  if List.length fields <> expected then
-    fail ~col:base_col line "expected %d |-separated fields, got %d" expected
-      (List.length fields);
-  let key_attrs = Schema.key schema in
-  let rec split n l =
-    if n = 0 then ([], l)
-    else
-      match l with
-      | x :: rest ->
-          let a, b = split (n - 1) rest in
-          (x :: a, b)
-      | [] -> assert false
-  in
-  let key_raw, rest = split (List.length key_attrs) fields in
-  let cell_raw, tm_raw = split (List.length (Schema.nonkey schema)) rest in
+  if Array.length fields <> expected then
+    reject sink ~col:base_col line Arity
+      "expected %d |-separated fields, got %d" expected (Array.length fields);
+  let before = rejected sink in
+  let nkey = Schema.key_arity schema in
   let key =
-    List.map2
-      (fun attr (col, raw) ->
+    List.mapi
+      (fun i attr ->
+        let col, raw = fields.(i) in
+        (* [Schema.validate] keeps evidential attributes out of keys. *)
         match Attr.kind attr with
-        | Attr.Definite kind -> parse_definite ~col line kind raw
-        | Attr.Evidential _ -> fail ~col line "evidential key attribute")
-      key_attrs key_raw
+        | Attr.Definite kind -> (
+            try parse_definite sink ~col line ~key:true attr kind raw
+            with Skip -> skipped_value)
+        | Attr.Evidential _ -> assert false)
+      (Schema.key schema)
   in
   let cells =
-    List.map2
-      (fun attr (col, raw) -> parse_cell ~col line attr raw)
-      (Schema.nonkey schema) cell_raw
+    List.mapi
+      (fun i attr ->
+        let col, raw = fields.(nkey + i) in
+        try parse_cell sink ~col line attr raw with Skip -> skipped_cell)
+      (Schema.nonkey schema)
   in
   let tm =
-    match tm_raw with
-    | [ (col, raw) ] -> (
-        try Dst.Support.of_string raw
-        with Invalid_argument _ | Dst.Support.Invalid_support _ ->
-          fail ~col line "bad membership pair %s" raw)
-    | _ -> assert false
+    let col, raw = fields.(expected - 1) in
+    try parse_support sink ~col line raw with Skip -> Dst.Support.certain
   in
-  try Etuple.make schema ~key ~cells ~tm
-  with Etuple.Tuple_error m -> fail ~col:base_col line "%s" m
+  if rejected sink > before then raise Skip;
+  (* The cells were parsed at their attributes' kinds and frames, which
+     is all [Etuple.make] checks. *)
+  Etuple.make schema ~key ~cells ~tm
 
 type block = {
   rname : string;
   rline : int;
-  mutable keys : Attr.t list;
-  mutable attrs : Attr.t list;
-  mutable rows : (int * int * string) list;  (* line, column, body *)
+  mutable decls : (bool * Attr.t * int * int) list;
+      (* reversed: is-key, attribute, line, column *)
+  mutable broken : bool;  (* a declaration was rejected *)
+  mutable rows : (int * int * string) list;  (* reversed: line, column, body *)
 }
 
-let relations_of_string input =
+(* Where a schema violation is reported: at the declaration it names
+   (the first evidential key, the second of two same-named attributes),
+   or at the relation header. *)
+let violation_position b v =
+  let at decls p =
+    match List.find_opt p decls with
+    | Some (_, _, line, col) -> (line, col)
+    | None -> (b.rline, 0)
+  in
+  match v with
+  | Schema.Empty_key -> (b.rline, 0)
+  | Schema.Evidential_key n ->
+      at (List.rev b.decls) (fun (is_key, a, _, _) -> is_key && Attr.name a = n)
+  | Schema.Duplicate_attribute n ->
+      at b.decls (fun (_, a, _, _) -> Attr.name a = n)
+
+let relation_of_block sink b =
+  let decls = List.rev b.decls in
+  let pick k =
+    List.filter_map
+      (fun (is_key, a, _, _) -> if is_key = k then Some a else None)
+      decls
+  in
+  match
+    Schema.validate ~name:b.rname ~key:(pick true) ~nonkey:(pick false)
+  with
+  | Error v ->
+      let line, col = violation_position b v in
+      reject sink ~col line (Bad_schema v) "%s"
+        (Schema.violation_message ~name:b.rname v)
+  | Ok schema ->
+      List.fold_left
+        (fun r (line, col, body) ->
+          try
+            let tuple = parse_tuple sink ~base_col:col line schema body in
+            match Relation.add r tuple with
+            | r -> r
+            | exception Relation.Duplicate_key key ->
+                reject sink ~col line
+                  (Duplicate_key { relation = b.rname; key })
+                  "duplicate key"
+            | exception Relation.Relation_error m ->
+                (* The CWA_ER check, reported at the membership pair. *)
+                let off, f =
+                  List.nth (split_fields body) (Schema.arity schema)
+                in
+                let tm = Etuple.tm tuple in
+                reject sink ~col:(col + off + lead f) line
+                  (Cwa_inadmissible (Dst.Support.sn tm, Dst.Support.sp tm))
+                  "%s" m
+          with Skip -> r)
+        (Relation.empty schema) (List.rev b.rows)
+
+let parse sink input =
   let lines = String.split_on_char '\n' input in
-  Obs.Metrics.incr ~by:(List.length lines) "io.parse.lines";
+  (match sink with
+  | None -> Obs.Metrics.incr ~by:(List.length lines) "io.parse.lines"
+  | Some _ -> ());
   let blocks = ref [] in
   let current = ref None in
   let flush () =
@@ -174,7 +304,7 @@ let relations_of_string input =
       let indent = lead raw in
       let line = String.trim raw in
       if line = "" || line.[0] = '#' then ()
-      else begin
+      else
         let word, word_len =
           match String.index_opt line ' ' with
           | None -> (line, String.length line)
@@ -184,49 +314,52 @@ let relations_of_string input =
         let body = String.trim rest in
         (* 1-based column of the body's first character in the raw line. *)
         let body_col = indent + word_len + lead rest + 1 in
-        match word with
-        | "relation" ->
-            flush ();
-            if body = "" then
-              fail ~col:(indent + 1) lineno "relation needs a name"
-            else
+        try
+          match (word, !current) with
+          | "relation", _ ->
+              flush ();
+              if body = "" then
+                reject sink ~col:(indent + 1) lineno Malformed_declaration
+                  "relation needs a name";
+              (match sink with
+              | Some s ->
+                  s.emit
+                    (Relation_header
+                       { line = lineno; col = body_col; name = body })
+              | None -> ());
               current :=
                 Some
                   { rname = body;
                     rline = lineno;
-                    keys = [];
-                    attrs = [];
+                    decls = [];
+                    broken = false;
                     rows = [] }
-        | _ -> (
-            match (!current, word) with
-            | None, _ ->
-                fail ~col:(indent + 1) lineno "expected `relation <name>` first"
-            | Some b, "key" ->
-                b.keys <- b.keys @ [ parse_attr_decl ~col:body_col lineno body ]
-            | Some b, "attr" ->
-                b.attrs <- b.attrs @ [ parse_attr_decl ~col:body_col lineno body ]
-            | Some b, "tuple" -> b.rows <- b.rows @ [ (lineno, body_col, body) ]
-            | Some _, other ->
-                fail ~col:(indent + 1) lineno "unknown directive %s" other)
-      end)
+          | _, None ->
+              reject sink ~col:(indent + 1) lineno Malformed_declaration
+                "expected `relation <name>` first"
+          | ("key" | "attr"), Some b -> (
+              try
+                let a = parse_attr_decl sink ~col:body_col lineno body in
+                b.decls <- (word = "key", a, lineno, body_col) :: b.decls
+              with Skip -> b.broken <- true)
+          | "tuple", Some b -> b.rows <- (lineno, body_col, body) :: b.rows
+          | other, Some _ ->
+              reject sink ~col:(indent + 1) lineno Malformed_declaration
+                "unknown directive %s" other
+        with Skip -> ())
     lines;
   flush ();
-  List.rev_map
+  (* A block with a rejected declaration has no schema to check rows
+     against; only a sink ever sees one. *)
+  List.filter_map
     (fun b ->
-      let schema =
-        try Schema.make ~name:b.rname ~key:b.keys ~nonkey:b.attrs
-        with Schema.Schema_error m ->
-          fail b.rline "relation %s: %s" b.rname m
-      in
-      List.fold_left
-        (fun r (lineno, col, body) ->
-          let tuple = parse_tuple ~base_col:col lineno schema body in
-          try Relation.add r tuple
-          with
-          | Relation.Duplicate_key _ -> fail ~col lineno "duplicate key"
-          | Relation.Relation_error m -> fail ~col lineno "%s" m)
-        (Relation.empty schema) b.rows)
-    !blocks
+      if b.broken then None
+      else try Some (relation_of_block sink b) with Skip -> None)
+    (List.rev !blocks)
+
+let relations_of_string input = parse None input
+
+let scan emit input = ignore (parse (Some { emit; rejected = 0 }) input)
 
 let relation_of_string input =
   match relations_of_string input with
@@ -298,7 +431,7 @@ let tuple_to_string t =
   in
   String.concat " | " fields
 
-let tuple_of_string schema s = parse_tuple 0 schema s
+let tuple_of_string schema s = parse_tuple None ~base_col:0 0 schema s
 
 let to_string r =
   let schema = Relation.schema r in
@@ -334,78 +467,3 @@ let save path rels =
   let oc = open_out path in
   List.iter (fun r -> output_string oc (to_string r ^ "\n")) rels;
   close_out oc
-
-(* RFC 4180: fields separated by commas, quoted fields may contain
-   commas/newlines, doubled quotes escape a quote. Returns records of
-   fields; empty trailing line ignored. *)
-let csv_records input =
-  let records = ref [] and fields = ref [] and buf = Buffer.create 32 in
-  let flush_field () =
-    fields := Buffer.contents buf :: !fields;
-    Buffer.clear buf
-  in
-  let flush_record () =
-    flush_field ();
-    records := List.rev !fields :: !records;
-    fields := []
-  in
-  let n = String.length input in
-  let rec plain i =
-    if i >= n then (if Buffer.length buf > 0 || !fields <> [] then flush_record ())
-    else
-      match input.[i] with
-      | ',' ->
-          flush_field ();
-          plain (i + 1)
-      | '\n' ->
-          flush_record ();
-          plain (i + 1)
-      | '\r' -> plain (i + 1)
-      | '"' when Buffer.length buf = 0 -> quoted (i + 1)
-      | c ->
-          Buffer.add_char buf c;
-          plain (i + 1)
-  and quoted i =
-    if i >= n then fail 0 "unterminated quoted CSV field"
-    else
-      match input.[i] with
-      | '"' when i + 1 < n && input.[i + 1] = '"' ->
-          Buffer.add_char buf '"';
-          quoted (i + 2)
-      | '"' -> plain (i + 1)
-      | c ->
-          Buffer.add_char buf c;
-          quoted (i + 1)
-  in
-  plain 0;
-  List.rev !records
-
-let relation_of_csv schema input =
-  match csv_records input with
-  | [] -> fail 0 "empty CSV document"
-  | header :: rows ->
-      let expected_header =
-        List.map Attr.name (Schema.attrs schema) @ [ "(sn,sp)" ]
-      in
-      if header <> expected_header then
-        fail 1 "CSV header does not match the schema (expected %s)"
-          (String.concat "," expected_header);
-      List.fold_left
-        (fun (r, lineno) fields ->
-          let expected = Schema.arity schema + 1 in
-          if List.length fields <> expected then
-            fail lineno "expected %d fields, got %d" expected
-              (List.length fields);
-          List.iter
-            (fun f ->
-              if String.contains f '|' then
-                fail lineno "CSV field contains '|', which the cell syntax reserves")
-            fields;
-          let tuple = parse_tuple lineno schema (String.concat "|" fields) in
-          match Relation.add r tuple with
-          | r -> (r, lineno + 1)
-          | exception Relation.Duplicate_key _ -> fail lineno "duplicate key"
-          | exception Relation.Relation_error m -> fail lineno "%s" m)
-        (Relation.empty schema, 2)
-        rows
-      |> fst

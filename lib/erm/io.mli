@@ -21,8 +21,48 @@ exception Io_error of { line : int; col : int; message : string }
     token, or [0] when no finer position than the line is known. *)
 
 val relations_of_string : string -> Relation.t list
-(** @raise Io_error with a 1-based line/column position on malformed
-    input. *)
+(** @raise Io_error with a 1-based line/column position at the first
+    rejection of the pass {!scan} runs. *)
+
+(** {2 The loader's findings}
+
+    Loading and linting are one pass over the text. Loading raises the
+    first rejection as {!Io_error}; {!scan} hands every rejection to a
+    sink and carries on, so [eridb-lint] reports exactly what the loader
+    would refuse. *)
+
+type rule =
+  | Malformed_declaration
+      (** Unknown directive, row before [relation], unnamed relation, or
+          a declaration that is not [name : kind]. *)
+  | Malformed_domain  (** Unknown kind; empty or unreadable domain. *)
+  | Bad_schema of Schema.violation
+  | Arity  (** Wrong number of [|]-separated fields. *)
+  | Bad_value of { attr : string; key : bool }
+  | Bad_evidence of Dst.Evidence.error
+  | Malformed_membership
+  | Membership_range of float * float  (** Not [0 ≤ sn ≤ sp ≤ 1]. *)
+  | Cwa_inadmissible of float * float  (** [sn = 0]: CWA_ER refuses it. *)
+  | Duplicate_key of { relation : string; key : Dst.Value.t list }
+
+type finding = { line : int; col : int; rule : rule; message : string }
+(** A rejection; [message] is the {!Io_error} message loading raises. *)
+
+type event =
+  | Rejected of finding
+  | Relation_header of { line : int; col : int; name : string }
+  | Evidence_cell of {
+      line : int;
+      col : int;
+      focals : (Dst.Vset.t * float) list;
+    }  (** A well-formed evidence cell's entries as written. *)
+
+val scan : (event -> unit) -> string -> unit
+(** Runs the loading pass with a sink. After a rejection the pass
+    resumes at the next cell, row, declaration or line; rows under a
+    rejected declaration or schema are not checked, and a row with a
+    rejected cell is not keyed. The pass loads the text exactly when it
+    emits no [Rejected] event. *)
 
 val relation_of_string : string -> Relation.t
 (** Expects exactly one relation block. @raise Io_error otherwise. *)
@@ -56,12 +96,6 @@ val tuple_of_string : Schema.t -> string -> Etuple.t
 (** Inverse of {!tuple_to_string} under the same schema.
     @raise Io_error on malformed input. *)
 
-val split_fields : string -> (int * string) list
-(** The fields of one tuple row body, split on every [|] (quotes do not
-    protect it: [|] is reserved in cell syntax), each untrimmed with the
-    offset of its first character. The loader and [eridb-lint] both
-    split rows with it, so they agree on a row's fields. *)
-
 val load : string -> Relation.t list
 (** Reads a [.erd] file.
     @raise Sys_error on IO failures (message includes the path);
@@ -70,11 +104,3 @@ val load : string -> Relation.t list
     already holds and prints in front of [line:col]. *)
 
 val save : string -> Relation.t list -> unit
-
-val relation_of_csv : Schema.t -> string -> Relation.t
-(** Parse a CSV document (RFC 4180 quoting) against a known schema: the
-    header row must name the schema's attributes in order followed by
-    ["(sn,sp)"]; each record supplies the key values, the cells (evidence
-    cells in the paper notation) and the membership pair. Inverse of
-    {!Render.to_csv} up to float display precision.
-    @raise Io_error with the 1-based record number on malformed input. *)

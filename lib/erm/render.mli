@@ -28,9 +28,8 @@ val to_csv : ?digits:int -> Relation.t -> string
 (** Comma-separated rendering: a header line, then one line per tuple in
     key order. Fields containing commas, quotes or newlines are quoted
     per RFC 4180. Evidence and membership cells use the same notation as
-    the ASCII table; pass [~digits:12] or more when the output must
-    re-import through {!Io.relation_of_csv} losslessly enough for mass
-    validation. *)
+    the ASCII table; pass [~digits:12] or more to keep masses summing
+    to 1 within the float tolerance. *)
 
 val to_markdown : ?title:string -> Relation.t -> string
 (** A GitHub-flavored markdown table, for dropping reproduced tables

@@ -4,26 +4,38 @@ exception Schema_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Schema_error s)) fmt
 
-let check_distinct_names attrs =
-  let sorted = List.sort String.compare (List.map Attr.name attrs) in
+type violation =
+  | Empty_key
+  | Evidential_key of string
+  | Duplicate_attribute of string
+
+let violation_message ~name = function
+  | Empty_key -> Printf.sprintf "relation %s has an empty key" name
+  | Evidential_key a -> Printf.sprintf "key attribute %s must be definite" a
+  | Duplicate_attribute a -> Printf.sprintf "duplicate attribute name %s" a
+
+let check ~key ~nonkey =
+  let sorted = List.sort String.compare (List.map Attr.name (key @ nonkey)) in
   let rec dup = function
     | a :: b :: _ when String.equal a b -> Some a
     | _ :: rest -> dup rest
     | [] -> None
   in
-  match dup sorted with
-  | Some a -> fail "duplicate attribute name %s" a
-  | None -> ()
+  if key = [] then Some Empty_key
+  else
+    match List.find_opt Attr.is_evidential key with
+    | Some a -> Some (Evidential_key (Attr.name a))
+    | None -> Option.map (fun a -> Duplicate_attribute a) (dup sorted)
+
+let validate ~name ~key ~nonkey =
+  match check ~key ~nonkey with
+  | None -> Ok { name; key; nonkey }
+  | Some v -> Error v
 
 let make ~name ~key ~nonkey =
-  if key = [] then fail "relation %s has an empty key" name;
-  List.iter
-    (fun a ->
-      if Attr.is_evidential a then
-        fail "key attribute %s must be definite" (Attr.name a))
-    key;
-  check_distinct_names (key @ nonkey);
-  { name; key; nonkey }
+  match check ~key ~nonkey with
+  | None -> { name; key; nonkey }
+  | Some v -> raise (Schema_error (violation_message ~name v))
 
 let name s = s.name
 let key s = s.key
@@ -80,24 +92,14 @@ let project s names =
   { s with nonkey }
 
 let product a b =
-  let schema =
-    { name = a.name ^ "_x_" ^ b.name;
-      key = a.key @ b.key;
-      nonkey = a.nonkey @ b.nonkey }
-  in
-  check_distinct_names (attrs schema);
-  schema
+  make ~name:(a.name ^ "_x_" ^ b.name) ~key:(a.key @ b.key)
+    ~nonkey:(a.nonkey @ b.nonkey)
 
 let rename_relation name s = { s with name }
 
 let rename_attrs f s =
-  let schema =
-    { s with
-      key = List.map (fun a -> Attr.rename (f (Attr.name a)) a) s.key;
-      nonkey = List.map (fun a -> Attr.rename (f (Attr.name a)) a) s.nonkey }
-  in
-  check_distinct_names (attrs schema);
-  schema
+  let rename = List.map (fun a -> Attr.rename (f (Attr.name a)) a) in
+  make ~name:s.name ~key:(rename s.key) ~nonkey:(rename s.nonkey)
 
 let pp ppf s =
   Format.fprintf ppf "@[<v 2>relation %s" s.name;

@@ -9,6 +9,18 @@ type t
 
 exception Schema_error of string
 
+type violation =
+  | Empty_key
+  | Evidential_key of string  (** The first evidential key attribute. *)
+  | Duplicate_attribute of string  (** A name declared twice. *)
+(** The rule a schema breaks, checked in this order. *)
+
+val validate :
+  name:string -> key:Attr.t list -> nonkey:Attr.t list -> (t, violation) result
+
+val violation_message : name:string -> violation -> string
+(** The message {!make} raises {!Schema_error} with. *)
+
 val make : name:string -> key:Attr.t list -> nonkey:Attr.t list -> t
 (** @raise Schema_error if the key is empty, a key attribute is
     evidential, or attribute names collide. *)

@@ -173,6 +173,13 @@ let test_lint_codes () =
   assert_lint (rel_wrap "tuple x | [a^1] | (0, 1)") "E016";
   assert_lint (rel_wrap "tuple x | [a^0; b^1] | (1, 1)") "E019";
   assert_lint (rel_wrap "tuple x | [a^0.5; a^0.5] | (1, 1)") "E020";
+  (* Malformed members are syntax, not values outside the domain. *)
+  List.iter
+    (fun cell ->
+      Alcotest.(check (list string))
+        ("exactly E008 for " ^ cell) [ "E008" ]
+        (lint_codes (rel_wrap ("tuple x | " ^ cell ^ " | (1, 1)"))))
+    [ "[{a,,b}^1]"; "[{~}^1]"; "[{a,{b}}^1]"; "[a b^1]" ];
   Alcotest.(check (list string))
     "clean sample lints clean" [] (lint_codes sample);
   Alcotest.(check int) "error exit code" 2
@@ -330,7 +337,10 @@ let test_catalog_registry () =
       Alcotest.(check bool)
         (Printf.sprintf "%s registered" code)
         true (C.find code <> None))
-    [ "E001"; "E009"; "E017"; "E099"; "Q000"; "Q008"; "Q018"; "S001"; "S010" ];
+    [ "E001"; "E009"; "E017"; "E020"; "Q000"; "Q008"; "Q018"; "S001"; "S010" ];
+  (* The linter is the loader's pass, so no code stands for a loader
+     rejection the linter missed. *)
+  Alcotest.(check bool) "E099 retired" true (C.find "E099" = None);
   Alcotest.(check (option int)) "E016 priority" (Some 3)
     (Option.map K.priority_rank (C.priority_for "E016"));
   Alcotest.(check (option int)) "unknown code has no priority" None

@@ -59,10 +59,11 @@ let check_erd_lint name =
   if not (List.exists Analysis.Diagnostic.is_error diags) then
     Alcotest.failf "%s: the loader rejects it but lint reports no error" name
 
-(* The loader and the linter agree in both directions on lines that
-   split differently under a quote-aware splitter: the loader accepts
-   exactly when lint reports no error. Each is data/restaurants.erd's
-   [m_a] with one quote deleted or added. *)
+(* The loader and the linter agree in both directions on lines that a
+   quote-aware splitter or tokenizer reads differently: the loader
+   accepts exactly when lint reports no error. Each is
+   data/restaurants.erd's [m_a] with one quote deleted or added, or with
+   a quoted domain value that holds a syntax character. *)
 let agreement_inputs =
   let m_a ?(domain = "head-chef, manager, owner") row =
     "relation m_a\nkey mname : string\nattr phone : string\n\
@@ -76,7 +77,10 @@ let agreement_inputs =
     ("m_a quote added to a domain value",
      m_a ~domain:{|head-chef, manager", owner|} row);
     ("m_a domain value quote unterminated",
-     m_a ~domain:{|head-chef, "manager, owner|} row) ]
+     m_a ~domain:{|head-chef, "manager, owner|} row);
+    ("quoted member holding a caret",
+     m_a ~domain:{|"a^b", c|} {|tuple anand | "555-2222" | ["a^b"^1] | (1, 1)|})
+  ]
 
 let check_agreement text () =
   let accepted =
@@ -93,6 +97,68 @@ let check_agreement text () =
       (List.length lint_errors)
   else if (not accepted) && lint_errors = [] then
     Alcotest.fail "the loader rejects it but lint reports no error"
+
+(* --- seeded mutation fuzz ---------------------------------------------- *)
+
+(* Every .erd the repository ships or tests with, read once. *)
+let erd_sources =
+  let root = if Sys.file_exists "fixtures" then ".." else "." in
+  let test = if Sys.file_exists "fixtures" then "." else "test" in
+  let dirs =
+    [ Filename.concat root "data"; Filename.concat root "examples" ]
+    @ List.map
+        (fun d -> Filename.concat test (Filename.concat "fixtures" d))
+        [ "invalid"; "malformed"; "sweep" ]
+  in
+  List.concat_map
+    (fun dir ->
+      Sys.readdir dir |> Array.to_list |> List.sort String.compare
+      |> List.filter (fun f -> Filename.check_suffix f ".erd")
+      |> List.map (fun f -> read_file (Filename.concat dir f)))
+    dirs
+
+let syntax_chars = "|,;^{}[]()\"~/"
+
+(* Up to three edits, each deleting a byte, inserting a syntax character
+   or replacing a byte with one. *)
+let mutant =
+  let open QCheck.Gen in
+  let edit text =
+    let n = String.length text in
+    let* pos = int_bound (max 0 (n - 1)) in
+    let* c = oneofl (List.of_seq (String.to_seq syntax_chars)) in
+    let before = String.sub text 0 pos and c = String.make 1 c in
+    let from k = String.sub text k (n - k) in
+    if n = 0 then return text
+    else
+      oneofl
+        [ before ^ from (pos + 1); before ^ c ^ from pos;
+          before ^ c ^ from (pos + 1) ]
+  in
+  let* text = oneofl erd_sources in
+  let* edits = int_range 1 3 in
+  let rec go k text = if k = 0 then return text else edit text >>= go (k - 1) in
+  go edits text
+
+let loader_agrees_with_lint =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:5000
+       ~name:"mutated .erd: loads iff lint reports no error, Io_error only"
+       (QCheck.make ~print:Fun.id mutant)
+       (fun text ->
+         let loads =
+           match Erm.Io.relations_of_string text with
+           | _ -> true
+           | exception Erm.Io.Io_error _ -> false
+           | exception e ->
+               QCheck.Test.fail_reportf "the loader raised %s"
+                 (Printexc.to_string e)
+         in
+         let lint_errors =
+           List.exists Analysis.Diagnostic.is_error
+             (Analysis.Erd_lint.lint_string text)
+         in
+         loads = not lint_errors))
 
 (* --- .query corpus ---------------------------------------------------- *)
 
@@ -126,4 +192,5 @@ let () =
             (fun (name, text) ->
               Alcotest.test_case name `Quick (check_agreement text))
             agreement_inputs );
-      ("query channel", List.map (t check_query) queries) ]
+      ("query channel", List.map (t check_query) queries);
+      ("erd mutation fuzz", [ loader_agrees_with_lint ]) ]

@@ -59,6 +59,30 @@ let test_parse_errors () =
     [ "si^1"; "[si^1"; "[si]"; "[si^]"; "[^1]"; "[si^1;]"; "[{}^1]";
       "[si^1] trailing"; "[si^one]"; "[si^1/0]"; "" ]
 
+(* Evidence masses and support-pair components share one literal
+   parser, so each literal is read or refused by both alike. A literal
+   that reads ([-1/3]) may still break a range rule later; that is not
+   a syntax error in either. *)
+let test_mass_literals () =
+  let evidence_reads l =
+    match E.focals cuisines ("[si^" ^ l ^ "]") with
+    | Ok _ | Error (E.Invalid _) -> true
+    | Error (E.Syntax _) -> false
+  in
+  let support_reads l =
+    match Dst.Support.of_string ("(" ^ l ^ ", 1)") with
+    | _ | (exception Dst.Support.Invalid_support _) -> true
+    | exception Invalid_argument _ -> false
+  in
+  List.iter
+    (fun (l, reads) ->
+      Alcotest.(check bool) ("literal " ^ l) reads
+        (Dst.Num.float_of_literal l <> None);
+      Alcotest.(check bool) ("evidence mass " ^ l) reads (evidence_reads l);
+      Alcotest.(check bool) ("support component " ^ l) reads (support_reads l))
+    [ ("1/2", true); ("0.5", true); ("1/0", false); ("1/", false);
+      ("lots", false); ("-1/3", true) ]
+
 let test_semantic_errors () =
   let bad input =
     Alcotest.(check bool)
@@ -138,6 +162,7 @@ let () =
             test_parse_whitespace_insensitive;
           Alcotest.test_case "value kinds" `Quick test_parse_value_kinds;
           Alcotest.test_case "syntax errors" `Quick test_parse_errors;
+          Alcotest.test_case "mass literals" `Quick test_mass_literals;
           Alcotest.test_case "semantic errors" `Quick test_semantic_errors;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip ] );
       ( "votes",

@@ -113,53 +113,6 @@ tuple 2 | plain         | -0.5 | false | (0.3, 0.9)
     (V.equal (V.string "hello world")
        (Erm.Etuple.definite_value schema t "label"))
 
-let test_csv_roundtrip () =
-  let r = Erm.Io.relation_of_string sample in
-  let csv = Erm.Render.to_csv ~digits:12 r in
-  let r' = Erm.Io.relation_of_csv (Erm.Relation.schema r) csv in
-  Alcotest.(check bool) "csv round-trips" true (Erm.Relation.equal r r')
-
-let test_csv_roundtrip_paper () =
-  let csv = Erm.Render.to_csv ~digits:12 Paperdata.r_a in
-  let r' = Erm.Io.relation_of_csv Paperdata.schema csv in
-  Alcotest.(check bool) "R_A survives csv" true
-    (Erm.Relation.equal r' Paperdata.r_a)
-
-let test_csv_quoting () =
-  (* Quoted fields with commas (evidence sets) and embedded quotes. *)
-  let r = Erm.Io.relation_of_string sample in
-  let schema = Erm.Relation.schema r in
-  let csv = Erm.Render.to_csv ~digits:12 r in
-  Alcotest.(check bool) "evidence fields are quoted" true
-    (String.length csv > 0
-    &&
-    let contains sub =
-      let n = String.length sub in
-      let rec go i =
-        i + n <= String.length csv && (String.sub csv i n = sub || go (i + 1))
-      in
-      go 0
-    in
-    contains "\"[");
-  Alcotest.(check bool) "reimport parses the quoting" true
-    (Erm.Relation.cardinal (Erm.Io.relation_of_csv schema csv) = 2)
-
-let test_csv_errors () =
-  let schema = Erm.Relation.schema (Erm.Io.relation_of_string sample) in
-  let rejects what input =
-    Alcotest.(check bool)
-      what true
-      (match Erm.Io.relation_of_csv schema input with
-      | _ -> false
-      | exception Erm.Io.Io_error _ -> true)
-  in
-  rejects "empty" "";
-  rejects "wrong header" "a,b,c\n";
-  rejects "short record"
-    "name,age,kind,\"(sn,sp)\"\nrex,3\n";
-  rejects "unterminated quote"
-    "name,age,kind,\"(sn,sp)\"\n\"rex,3,[dog^1],\"(1, 1)\"\n"
-
 let () =
   Alcotest.run "io"
     [ ( "parse",
@@ -174,9 +127,4 @@ let () =
           Alcotest.test_case "paper tables" `Quick test_roundtrip_paper_tables;
           Alcotest.test_case "load/save files" `Quick test_load_save;
           Alcotest.test_case "value kinds" `Quick test_value_kinds_roundtrip ]
-      );
-      ( "csv",
-        [ Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
-          Alcotest.test_case "paper data" `Quick test_csv_roundtrip_paper;
-          Alcotest.test_case "quoting" `Quick test_csv_quoting;
-          Alcotest.test_case "errors" `Quick test_csv_errors ] ) ]
+      ) ]
